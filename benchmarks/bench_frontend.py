@@ -28,15 +28,18 @@ import sys
 import numpy as np
 import pytest
 
+from harness import (
+    measure_batching_policy,
+    measure_concurrent_throughput,
+    measure_per_query_throughput,
+)
+from repro.exceptions import ValidationError
 from repro.serving import (
     AdaptiveBatchPolicy,
     AsyncDistanceFrontend,
     DistanceService,
     FixedWindowPolicy,
     RefreshWorker,
-    measure_batching_policy,
-    measure_concurrent_throughput,
-    measure_per_query_throughput,
     synthetic_drift_stream,
 )
 
@@ -182,6 +185,41 @@ def test_frontend_coalesces_concurrent_load():
         service, n_clients=N_CLIENTS, queries_per_client=50, window=WINDOW
     )
     assert batched.mean_batch >= N_CLIENTS
+
+
+def test_load_generator_reports_carry_throughput():
+    """The coalescing harness reports what it measured."""
+    service = build_service(n_hosts=50, dimension=3)
+    per_query = measure_per_query_throughput(
+        service, n_clients=4, queries_per_client=20
+    )
+    batched = measure_concurrent_throughput(
+        service, n_clients=4, queries_per_client=20, window=4
+    )
+    assert per_query.total_queries == batched.total_queries == 80
+    assert per_query.queries_per_second > 0
+    assert batched.queries_per_second > 0
+    assert batched.mean_batch >= 1.0
+    assert "qps" in str(per_query) and "qps" in str(batched)
+
+
+def test_simulated_backend_counts_dispatches():
+    report = measure_batching_policy(
+        FixedWindowPolicy(0.0),
+        load="steady",
+        n_clients=4,
+        rounds=3,
+        base_ms=0.1,
+    )
+    assert report.total_queries == 12
+    assert report.dispatches >= 3
+    assert report.elapsed_seconds > 0
+    assert "fixed" in str(report).lower() or "Policy" in str(report)
+
+
+def test_measure_batching_policy_rejects_unknown_load():
+    with pytest.raises(ValidationError):
+        measure_batching_policy(None, load="spiky")
 
 
 def test_refresh_worker_keeps_pace_with_query_load():

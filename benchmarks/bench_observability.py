@@ -34,15 +34,17 @@ import time
 
 import numpy as np
 
+from harness import (
+    measure_concurrent_throughput,
+    measure_per_query_throughput,
+    measure_pipelined_speedup,
+)
 from repro.serving import (
     AsyncDistanceFrontend,
     DistanceService,
     MetricsRegistry,
     Tracer,
     configure_tracing,
-    measure_concurrent_throughput,
-    measure_per_query_throughput,
-    measure_pipelined_speedup,
 )
 
 N_HOSTS = 1000
@@ -154,7 +156,6 @@ def measure_pipelining_overhead(rounds: int = 8) -> tuple:
             client = RemoteShardClient(
                 *server.address,
                 pool_size=1,
-                protocol_version=2,
                 max_in_flight=PIPELINE_DEPTH,
                 timeout=30.0,
             )

@@ -7,10 +7,10 @@ Three architectural claims, each gated:
    concurrently makes the batch cost the slowest single shard, while
    dispatching shard-by-shard costs the *sum* over shards. Gate:
    >= 2x on a 4-shard cluster (4-6x typical).
-2. **Pipelining** (protocol v2): many in-flight RPCs on a *single*
-   socket overlap their service times, where the v1 discipline pays
-   them serially. Gate: >= 3x over the one-in-flight baseline at
-   depth 16 on one connection (8-12x typical).
+2. **Pipelining**: many in-flight RPCs on a *single* socket overlap
+   their service times, where awaiting each call in turn pays them
+   serially. Gate: >= 3x over that one-in-flight baseline at depth 16
+   on one connection (8-12x typical).
 3. **Zero-copy codec**: decoding a frame performs zero payload
    copies — every decoded array is a view over the receive buffer —
    and the scatter-write encoder never builds a joined intermediate.
@@ -39,11 +39,11 @@ import sys
 
 import numpy as np
 
+from harness import measure_pipelined_speedup
 from repro.serving import (
     ShardServer,
     connect_router,
     group_by_shard,
-    measure_pipelined_speedup,
     spawn_shard_process,
 )
 from repro.serving.transport.protocol import (
@@ -202,8 +202,8 @@ def test_scatter_gather_beats_sequential_dispatch_2x():
 
 
 def test_pipelined_dispatch_beats_one_in_flight_3x():
-    """Acceptance gate: protocol v2 pipelining >= 3x the v1
-    one-in-flight baseline on a single connection at depth 16."""
+    """Acceptance gate: pipelining >= 3x the same client awaiting each
+    call in turn, on a single connection at depth 16."""
     report = measure_pipelined_speedup(
         depth=PIPELINE_DEPTH, work_delay=WORK_DELAY
     )
@@ -247,7 +247,7 @@ def test_codec_encode_scatter_writes_payload_views():
     assert isinstance(view, memoryview)
     assert np.shares_memory(np.frombuffer(view, dtype=float), payload)
     prelude = bytes(parts[0])[: PRELUDE.size]
-    assert prelude[:4] == b"IDES" and prelude[4] == 2  # magic + v2
+    assert prelude[:4] == b"IDES" and prelude[4] == 2  # magic + version
 
 
 def test_codec_round_trip_throughput(benchmark):

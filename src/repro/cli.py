@@ -230,70 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="newest traces to show (default: 10)",
     )
 
-    bench_parser = serve_subparsers.add_parser(
-        "bench-concurrent",
-        help="compare micro-batched vs per-query dispatch under load",
-    )
-    bench_parser.add_argument(
-        "--hosts", type=int, default=1000, help="synthetic hosts (default: 1000)"
-    )
-    bench_parser.add_argument(
-        "--dimension", type=int, default=10, help="model dimension d (default: 10)"
-    )
-    bench_parser.add_argument(
-        "--clients", type=int, default=64, help="concurrent clients (default: 64)"
-    )
-    bench_parser.add_argument(
-        "--queries", type=int, default=200, help="queries per client (default: 200)"
-    )
-    bench_parser.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="point queries each client keeps in flight (default: 8)",
-    )
-    bench_parser.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default: 0)"
-    )
-
-    bench_transport_parser = serve_subparsers.add_parser(
-        "bench-transport",
-        help="compare pipelined vs one-in-flight shard RPC dispatch",
-    )
-    bench_transport_parser.add_argument(
-        "--depth",
-        type=int,
-        default=16,
-        help="pipeline depth: in-flight RPCs on the one socket (default: 16)",
-    )
-    bench_transport_parser.add_argument(
-        "--codec",
-        choices=("scatter", "join"),
-        default="scatter",
-        help="send-side codec: zero-copy scatter views or legacy join",
-    )
-    bench_transport_parser.add_argument(
-        "--requests",
-        type=int,
-        default=96,
-        help="gather RPCs per strategy (default: 96)",
-    )
-    bench_transport_parser.add_argument(
-        "--batch", type=int, default=32, help="ids per gather (default: 32)"
-    )
-    bench_transport_parser.add_argument(
-        "--work-delay",
-        type=float,
-        default=0.002,
-        help="per-request service time on the shard in seconds (default: 0.002)",
-    )
-    bench_transport_parser.add_argument(
-        "--hosts", type=int, default=256, help="hosts on the shard (default: 256)"
-    )
-    bench_transport_parser.add_argument(
-        "--dimension", type=int, default=10, help="model dimension d (default: 10)"
-    )
-
     refresh_parser = serve_subparsers.add_parser(
         "refresh",
         help="stream drifting RTT observations through the refresh worker",
@@ -699,71 +635,6 @@ def _command_serve_trace_tail(arguments) -> int:
     return 0
 
 
-def _command_serve_bench_concurrent(arguments) -> int:
-    import numpy as np
-
-    from .serving import (
-        DistanceService,
-        measure_concurrent_throughput,
-        measure_per_query_throughput,
-    )
-
-    rng = np.random.default_rng(arguments.seed)
-    shape = (arguments.hosts, arguments.dimension)
-    ids = list(range(arguments.hosts))
-    service = DistanceService.from_vectors(
-        ids, rng.random(shape), rng.random(shape), landmark_ids=ids[:20]
-    )
-    print(
-        f"workload: {arguments.hosts} hosts, d={arguments.dimension}, "
-        f"{arguments.clients} clients x {arguments.queries} queries"
-    )
-    per_query = measure_per_query_throughput(
-        service,
-        n_clients=arguments.clients,
-        queries_per_client=arguments.queries,
-        seed=arguments.seed,
-    )
-    batched = measure_concurrent_throughput(
-        service,
-        n_clients=arguments.clients,
-        queries_per_client=arguments.queries,
-        window=arguments.window,
-        seed=arguments.seed,
-    )
-    print(per_query)
-    print(batched)
-    if per_query.queries_per_second > 0:
-        ratio = batched.queries_per_second / per_query.queries_per_second
-        print(f"speedup: {ratio:.1f}x")
-    return 0
-
-
-def _command_serve_bench_transport(arguments) -> int:
-    from .serving import measure_pipelined_speedup
-
-    print(
-        f"workload: one shard process, {arguments.hosts} hosts, "
-        f"d={arguments.dimension}, {arguments.requests} gathers of "
-        f"{arguments.batch} ids, work_delay "
-        f"{arguments.work_delay * 1000:.1f} ms/RPC"
-    )
-    report = measure_pipelined_speedup(
-        depth=arguments.depth,
-        requests=arguments.requests,
-        batch=arguments.batch,
-        work_delay=arguments.work_delay,
-        codec=arguments.codec,
-        dimension=arguments.dimension,
-        n_hosts=arguments.hosts,
-    )
-    print(f"one-in-flight (v1): {report.sequential_seconds * 1000:8.1f} ms")
-    print(f"pipelined (v2)    : {report.pipelined_seconds * 1000:8.1f} ms")
-    print(f"speedup           : {report.speedup:8.1f} x  (depth "
-          f"{report.depth}, codec {report.codec})")
-    return 0
-
-
 def _command_serve_refresh(arguments) -> int:
     from .serving import RefreshWorker, synthetic_drift_stream
 
@@ -1080,8 +951,6 @@ def _command_serve(arguments) -> int:
         "query": _command_serve_query,
         "nearest": _command_serve_nearest,
         "health": _command_serve_health,
-        "bench-concurrent": _command_serve_bench_concurrent,
-        "bench-transport": _command_serve_bench_transport,
         "refresh": _command_serve_refresh,
         "shard": _command_serve_shard,
         "router": _command_serve_router,

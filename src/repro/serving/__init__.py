@@ -71,14 +71,8 @@ from .observability import (
 from .frontend import (
     AdaptiveBatchPolicy,
     AsyncDistanceFrontend,
-    ConcurrencyReport,
     FixedWindowPolicy,
     FrontendStats,
-    PolicyReport,
-    SimulatedDispatchBackend,
-    measure_batching_policy,
-    measure_concurrent_throughput,
-    measure_per_query_throughput,
 )
 from .refresh import (
     RefreshStats,
@@ -99,7 +93,6 @@ from .store import (
 from .transport import (
     ChaosClient,
     ChaosSchedule,
-    PipelineReport,
     RemoteShardClient,
     ReplicaGroup,
     ShardReplicator,
@@ -107,7 +100,6 @@ from .transport import (
     ShardedQueryRouter,
     connect_replica_router,
     connect_router,
-    measure_pipelined_speedup,
     spawn_shard_process,
 )
 
@@ -117,15 +109,12 @@ __all__ = [
     "CacheStats",
     "ChaosClient",
     "ChaosSchedule",
-    "ConcurrencyReport",
     "DistanceService",
     "FixedWindowPolicy",
     "FrontendStats",
     "InMemoryVectorStore",
     "JournalEntry",
     "MetricsRegistry",
-    "PipelineReport",
-    "PolicyReport",
     "PredictionCache",
     "StalePrediction",
     "QueryEngine",
@@ -138,7 +127,6 @@ __all__ = [
     "ShardJournal",
     "ShardReplicator",
     "ShardServer",
-    "SimulatedDispatchBackend",
     "ShardedQueryRouter",
     "ShardedVectorStore",
     "TelemetryServer",
@@ -155,10 +143,6 @@ __all__ = [
     "group_by_shard",
     "load_spans",
     "load_snapshot",
-    "measure_batching_policy",
-    "measure_concurrent_throughput",
-    "measure_pipelined_speedup",
-    "measure_per_query_throughput",
     "parse_prometheus_text",
     "replay_observations",
     "save_snapshot",

@@ -60,7 +60,7 @@ __all__ = [
     "load_spans",
 ]
 
-#: Wire header key carrying the trace context (optional, v1 and v2).
+#: Wire header key carrying the trace context (optional).
 TRACE_FIELD = "trace"
 
 _current_span: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(

@@ -10,25 +10,22 @@ transport so a deployment can put every shard in its own process (or
 on its own machine):
 
 * :mod:`~repro.serving.transport.protocol` — the length-prefixed
-  binary wire format: a fixed 16-byte prelude (carrying a request id
-  on protocol v2), a JSON header, and raw C-order ndarray payloads,
+  binary wire format: a fixed 16-byte prelude (carrying a request
+  id), a JSON header, and raw C-order ndarray payloads,
   encoded as scatter-written views and decoded as views over the
   receive buffer — zero payload copies either way (spec:
   ``docs/wire-protocol.md``);
 * :mod:`~repro.serving.transport.server` — :class:`ShardServer`, an
   asyncio process owning one vector-store shard plus a local
   :class:`~repro.serving.engine.QueryEngine`, serving point / pairs /
-  one-to-many / k-nearest / gather / update RPCs — v2 requests
+  one-to-many / k-nearest / gather / update RPCs — requests
   pipeline and answer out of order, each isolated to its own request
   id;
 * :mod:`~repro.serving.transport.client` — :class:`RemoteShardClient`,
   a per-shard pool of pipelined connections (many in-flight RPCs per
-  socket, matched by request id; negotiated v1 fallback) with call
+  socket, matched by request id) with call
   timeouts, bounded retries (every RPC is idempotent, so a retry is
   always safe) and fail-fast close;
-* :mod:`~repro.serving.transport.bench` — the pipelined-vs-
-  one-in-flight measurement behind ``serve bench-transport`` and the
-  benchmark gate;
 * :mod:`~repro.serving.transport.router` — :class:`ShardedQueryRouter`,
   which splits each batch by ``shard_of``, scatters the sub-batches
   over the sockets concurrently, gathers the answers back into request
@@ -58,12 +55,10 @@ on its own machine):
   tests.
 """
 
-from .bench import PipelineReport, measure_pipelined_speedup
 from .chaos import ChaosClient, ChaosDecision, ChaosSchedule
 from .client import RemoteShardClient, RetryBudget
 from .protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_V1,
     PROTOCOL_VERSION,
     Deadline,
     Message,
@@ -71,7 +66,6 @@ from .protocol import (
     encode_frame,
     encode_frame_parts,
     read_message,
-    set_codec_mode,
     write_message,
 )
 from .replica import ReplicaGroup, connect_replica_router
@@ -80,8 +74,6 @@ from .server import ShardProcess, ShardServer, run_shard_server, spawn_shard_pro
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "PROTOCOL_V1",
-    "PipelineReport",
     "PROTOCOL_VERSION",
     "ChaosClient",
     "ChaosDecision",
@@ -100,10 +92,8 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "encode_frame_parts",
-    "measure_pipelined_speedup",
     "read_message",
     "run_shard_server",
-    "set_codec_mode",
     "spawn_shard_process",
     "write_message",
 ]

@@ -1,17 +1,11 @@
 """The shard client: multiplexed, pipelined RPC connections to one shard.
 
 :class:`RemoteShardClient` owns a small pool of TCP connections to one
-:class:`~repro.serving.transport.server.ShardServer`. On protocol v2
-every connection is **pipelined**: a per-connection reader task
-resolves response frames to their awaiting callers by request id, so a
-single socket carries up to ``max_in_flight`` concurrent RPCs and the
-pool multiplies that, instead of the one-request-per-pooled-socket
-model v1 forces. The protocol version is negotiated once per client:
-the first call sends a v2 ``ping``; a v1-only server answers it with a
-v1 ``ProtocolError`` error frame ("unsupported protocol version"),
-which the client treats as the negotiation signal and falls back to
-the strict one-in-flight conversation. ``protocol_version=1`` or ``2``
-skips negotiation (the benchmark CLI uses 1 to measure the baseline).
+:class:`~repro.serving.transport.server.ShardServer`. Every connection
+is **pipelined**: a per-connection reader task resolves response
+frames to their awaiting callers by request id, so a single socket
+carries up to ``max_in_flight`` concurrent RPCs and the pool
+multiplies that.
 
 ``max_in_flight`` is a hard admission bound: a caller beyond it waits
 on the connection's slot semaphore (the wait counts against its
@@ -64,8 +58,6 @@ from ...exceptions import (
 from .protocol import (
     DEADLINE_FIELD,
     MAX_REQUEST_ID,
-    PROTOCOL_V1,
-    PROTOCOL_VERSION,
     Deadline,
     Message,
     read_message,
@@ -154,20 +146,17 @@ def _replica(failure: BaseException) -> Exception:
 
 
 class _ShardConnection:
-    """One socket: pipelined (v2, reader task + request-id futures) or
-    strict request/response (v1, conversation lock)."""
+    """One pipelined socket: a reader task resolves request-id futures."""
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        version: int,
         max_in_flight: int,
         on_late_response=None,
     ):
         self.reader = reader
         self.writer = writer
-        self.version = version
         self.max_in_flight = max_in_flight
         self._on_late_response = on_late_response
         self.broken = False
@@ -179,7 +168,7 @@ class _ShardConnection:
         #: deliver an old answer to a new caller.
         self._abandoned: set[int] = set()
         self._next_id = 0
-        self._lock = asyncio.Lock()  # v1 conversation / v2 frame writes
+        self._lock = asyncio.Lock()  # serializes frame writes
         #: Admitted calls (in flight or waiting for a slot) — the
         #: pool's load-balancing signal.
         self._load = 0
@@ -187,17 +176,13 @@ class _ShardConnection:
         #: waits here for a slot instead of piling another request id
         #: onto the connection.
         self._slots = asyncio.Semaphore(max_in_flight)
-        self._reader_task: asyncio.Task | None = None
-        if version == PROTOCOL_VERSION:
-            self._reader_task = asyncio.create_task(
-                self._read_loop(), name="shard-connection-reader"
-            )
+        self._reader_task: asyncio.Task | None = asyncio.create_task(
+            self._read_loop(), name="shard-connection-reader"
+        )
 
     @property
     def in_flight(self) -> int:
         """Calls awaiting a response on this socket."""
-        if self.version == PROTOCOL_V1:
-            return 1 if self._lock.locked() else 0
         return len(self._pending)
 
     @property
@@ -208,12 +193,10 @@ class _ShardConnection:
     @property
     def saturated(self) -> bool:
         """Whether another call should prefer a different connection."""
-        if self.version == PROTOCOL_V1:
-            return self._load >= 1
         return self._load >= self.max_in_flight
 
     # ------------------------------------------------------------------ #
-    # the demultiplexer (v2 only)
+    # the demultiplexer
     # ------------------------------------------------------------------ #
 
     async def _read_loop(self) -> None:
@@ -225,15 +208,7 @@ class _ShardConnection:
                 response = await read_message(self.reader)
                 if response is None:  # clean EOF
                     break
-                if response.version == PROTOCOL_V1:
-                    # A v1 frame on a v2 conversation: the peer does not
-                    # speak v2 (negotiation) — v1 responses carry no id
-                    # and arrive in order, so resolve the oldest waiter.
-                    future = None
-                    for request_id in self._pending:
-                        future = self._pending.pop(request_id)
-                        break
-                elif response.request_id in self._abandoned:
+                if response.request_id in self._abandoned:
                     # The late answer to a call whose caller gave up:
                     # drop the frame, lift the id's quarantine (it is
                     # now safe to reissue), and let the client count it.
@@ -301,14 +276,12 @@ class _ShardConnection:
         """Write one request frame and await its response frame."""
         self._load += 1
         try:
-            if self.version == PROTOCOL_V1:
-                return await self._call_v1(request, arrays)
             async with self._slots:  # wait for a pipeline slot
-                return await self._call_v2(request, arrays)
+                return await self._call_pipelined(request, arrays)
         finally:
             self._load -= 1
 
-    async def _call_v2(
+    async def _call_pipelined(
         self, request: dict, arrays: dict[str, np.ndarray] | None
     ) -> Message:
         if self.broken:
@@ -326,11 +299,7 @@ class _ShardConnection:
             async with self._lock:
                 try:
                     await write_message(
-                        self.writer,
-                        request,
-                        arrays,
-                        request_id=request_id,
-                        version=PROTOCOL_VERSION,
+                        self.writer, request, arrays, request_id=request_id
                     )
                     sent = True
                 except asyncio.CancelledError:
@@ -363,32 +332,6 @@ class _ShardConnection:
             if self._pending.pop(request_id, None) is not None:
                 if sent and not self.broken:
                     self._abandoned.add(request_id)
-
-    async def _call_v1(
-        self, request: dict, arrays: dict[str, np.ndarray] | None
-    ) -> Message:
-        async with self._lock:
-            try:
-                await write_message(
-                    self.writer, request, arrays, version=PROTOCOL_V1
-                )
-                response = await read_message(self.reader)
-            except ProtocolError:
-                # The *response* was malformed — a server bug, not a
-                # flaky link; never retried, but the socket is done.
-                self._mark_broken()
-                raise
-            except BaseException:
-                # Cancellation (timeout) or a connection error leaves
-                # the conversation mid-frame.
-                self._mark_broken()
-                raise
-            if response is None:
-                self._mark_broken()
-                raise ConnectionResetError(
-                    "server closed the connection mid-call"
-                )
-            return response
 
     def _mark_broken(self) -> None:
         self.broken = True
@@ -423,10 +366,9 @@ class RemoteShardClient:
         shard_index: the shard slot this client expects to find there
             (attached to unavailability errors; verified by the
             router's handshake, not here).
-        pool_size: maximum concurrent connections. On protocol v2 each
-            connection additionally multiplexes up to ``max_in_flight``
-            RPCs, so total concurrency is ``pool_size * max_in_flight``;
-            on v1 it is ``pool_size`` exactly, as before.
+        pool_size: maximum concurrent connections. Each connection
+            multiplexes up to ``max_in_flight`` RPCs, so total
+            concurrency is ``pool_size * max_in_flight``.
         timeout: seconds allowed per attempt (connect + write + read).
             A per-call deadline tightens this: each attempt gets
             ``min(timeout, deadline.remaining())``.
@@ -436,10 +378,7 @@ class RemoteShardClient:
             (capped at 32x the base), so pooled clients retrying a
             restarted shard spread out instead of synchronizing into
             bursts the way the old deterministic ``n * base`` ramp did.
-        protocol_version: ``None`` negotiates (v2 preferred, v1
-            fallback); ``1`` or ``2`` forces a version — forcing 2
-            against a v1-only server fails with ``ProtocolError``.
-        max_in_flight: pipeline depth per v2 connection — a hard
+        max_in_flight: pipeline depth per connection — a hard
             admission bound; excess concurrent callers wait for a slot.
         retry_budget: a :class:`RetryBudget` bounding retries across
             the pool; pass a shared instance to pool the budget across
@@ -456,7 +395,6 @@ class RemoteShardClient:
         timeout: float = 10.0,
         retries: int = 2,
         retry_backoff: float = 0.05,
-        protocol_version: int | None = None,
         max_in_flight: int = 128,
         retry_budget: RetryBudget | None = None,
     ):
@@ -466,11 +404,6 @@ class RemoteShardClient:
             raise ValidationError(f"timeout must be > 0, got {timeout}")
         if int(retries) < 0:
             raise ValidationError(f"retries must be >= 0, got {retries}")
-        if protocol_version not in (None, PROTOCOL_V1, PROTOCOL_VERSION):
-            raise ValidationError(
-                f"protocol_version must be None, {PROTOCOL_V1} or "
-                f"{PROTOCOL_VERSION}, got {protocol_version}"
-            )
         if int(max_in_flight) < 1:
             raise ValidationError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
@@ -483,8 +416,6 @@ class RemoteShardClient:
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
         self.max_in_flight = int(max_in_flight)
-        self._version = protocol_version
-        self._negotiating: asyncio.Lock | None = None
         self._dialing: asyncio.Lock | None = None
         self._connections: list[_ShardConnection] = []
         self._closed = False
@@ -525,11 +456,6 @@ class RemoteShardClient:
     def address(self) -> str:
         """``host:port`` for messages and health reports."""
         return f"{self.host}:{self.port}"
-
-    @property
-    def negotiated_version(self) -> int | None:
-        """The protocol version in use (None before the first call)."""
-        return self._version
 
     @property
     def open_connections(self) -> int:
@@ -600,16 +526,15 @@ class RemoteShardClient:
         registry.register_collector(collect)
 
     # ------------------------------------------------------------------ #
-    # pool plumbing + negotiation
+    # pool plumbing
     # ------------------------------------------------------------------ #
 
-    async def _dial(self, version: int) -> _ShardConnection:
+    async def _dial(self) -> _ShardConnection:
         self._check_open()
         reader, writer = await asyncio.open_connection(self.host, self.port)
         connection = _ShardConnection(
             reader,
             writer,
-            version,
             self.max_in_flight,
             on_late_response=self._note_late_response,
         )
@@ -653,41 +578,6 @@ class RemoteShardClient:
             self._connections.remove(connection)
             surplus -= 1
 
-    async def _negotiate(self) -> int:
-        """Settle the protocol version with one v2 ``ping`` probe."""
-        if self._version is not None:
-            return self._version
-        if self._negotiating is None:
-            self._negotiating = asyncio.Lock()
-        async with self._negotiating:
-            if self._version is not None:  # a racer finished first
-                return self._version
-            probe = await self._dial(PROTOCOL_VERSION)
-            try:
-                response = await probe.call({"op": "ping"}, None)
-            except ProtocolError:
-                # The peer's reply did not even frame: assume the old
-                # dialect.
-                probe.close()
-                self._version = PROTOCOL_V1
-                return self._version
-            if response.fields.get("ok"):
-                self._version = PROTOCOL_VERSION
-                return self._version
-            probe.close()
-            message = str(response.fields.get("message", ""))
-            if (
-                response.fields.get("error") == "ProtocolError"
-                and "version" in message
-            ):
-                # The canonical v1 refusal of a v2 frame.
-                self._version = PROTOCOL_V1
-                return self._version
-            raise RemoteShardError(
-                f"negotiation ping refused: {message} "
-                f"(from shard at {self.address})"
-            )
-
     async def _connection(self, fresh: bool) -> _ShardConnection:
         """A usable connection: least-loaded open socket, or a new dial.
 
@@ -695,14 +585,13 @@ class RemoteShardClient:
         a server restart every one of them may be dead, and each broken
         socket announces itself only when touched.
         """
-        version = await self._negotiate()
         self._prune()
         if fresh:
             # Retry semantics: never reuse a possibly-stale socket. The
             # dial can push the pool past its cap (the stale sockets it
             # distrusts may turn out healthy), so retire idle surplus
             # afterwards or repeated timeouts would leak sockets.
-            connection = await self._dial(version)
+            connection = await self._dial()
             self._retire_surplus(keep=connection)
             return connection
         candidates = [c for c in self._connections if not c.saturated]
@@ -718,14 +607,14 @@ class RemoteShardClient:
             if candidates:
                 return min(candidates, key=lambda c: c.load)
             if len(self._connections) < self.pool_size:
-                return await self._dial(version)
+                return await self._dial()
         # Every socket is saturated and the pool is at its cap: queue
         # on the least-loaded one — admission is still bounded, because
-        # the connection's slot semaphore (v2) or conversation lock
-        # (v1) holds the excess caller back until a slot frees up.
+        # the connection's slot semaphore holds the excess caller back
+        # until a slot frees up.
         if self._connections:
             return min(self._connections, key=lambda c: c.load)
-        return await self._dial(version)
+        return await self._dial()
 
     async def close(self) -> None:
         """Close every connection; in-flight pipelined calls fail fast
@@ -921,7 +810,6 @@ class RemoteShardClient:
                 fields=fields,
                 arrays=response.arrays,
                 request_id=response.request_id,
-                version=response.version,
             )
         error_type = str(response.fields.get("error", "RemoteShardError"))
         message = str(response.fields.get("message", "unspecified remote error"))

@@ -1,28 +1,25 @@
 """The wire format: framed JSON headers with raw ndarray payloads.
 
 One message is one frame; the full byte-level layout, the message
-vocabulary and the versioning rules are specified in
+vocabulary and the version rule are specified in
 ``docs/wire-protocol.md`` (this module is the reference
 implementation). The short version::
 
     offset  size  field
     0       4     magic  b"IDES"
-    4       1     protocol version (1 or 2)
+    4       1     protocol version (always 2)
     5       1     flags (reserved, must be 0)
-    6       2     v1: reserved (must be 0); v2: request id
+    6       2     request id
     8       4     header length H, big-endian unsigned
     12      4     body length B, big-endian unsigned
     16      H     header: UTF-8 JSON object
     16+H    B     body: the concatenated C-order bytes of every array
 
-Version 2 repurposes the 16-bit reserved field as a **request id**,
-which is what licenses pipelining: a client may write many v2 request
-frames onto one socket without waiting, and the server echoes each
-request's id on its response frame so answers can return out of
-order. Version 1 frames (request id field zero, strict one-at-a-time
-conversation) remain fully supported — a v2 server answers a v1 frame
-with a v1 frame, and a v2 client falls back to v1 when the peer
-rejects version 2 (see ``RemoteShardClient``).
+The 16-bit **request id** is what licenses pipelining: a client may
+write many request frames onto one socket without waiting, and the
+server echoes each request's id on its response frame so answers can
+return out of order. There is exactly one wire version; a frame with
+any other version byte is a :class:`~repro.exceptions.ProtocolError`.
 
 The header carries all scalar fields (the operation name, host
 identifiers, error text, ...) plus an ``"arrays"`` list describing
@@ -49,14 +46,7 @@ Zero-copy discipline (both directions):
   has fully flushed the payload views — callers may reuse or mutate
   the source arrays the moment it returns, and never earlier.
   :func:`encode_frame` (the joined single-buffer form) remains for
-  tests and for callers that want one blob; the legacy behaviour is
-  selectable process-wide via :data:`CODEC_MODE` for benchmarking.
-
-Compatibility note: before protocol v2 every decoded payload was a
-freshly-allocated *writable* array. An embedder that mutated decoded
-payloads in place now gets ``ValueError: assignment destination is
-read-only`` and should switch those call sites to
-:meth:`Message.writable`.
+  tests and for callers that want one blob.
 
 Every decode guard raises :class:`~repro.exceptions.ProtocolError`:
 wrong magic, unknown version, non-zero reserved bits, frames above
@@ -82,32 +72,25 @@ __all__ = [
     "MAGIC",
     "MAX_FRAME_BYTES",
     "MAX_REQUEST_ID",
-    "PROTOCOL_V1",
     "PROTOCOL_VERSION",
     "PRELUDE",
-    "CODEC_MODE",
     "DEADLINE_FIELD",
     "Deadline",
     "Message",
-    "check_codec_mode",
     "encode_frame",
     "encode_frame_parts",
     "decode_frame",
     "read_message",
     "write_message",
-    "set_codec_mode",
 ]
 
 MAGIC = b"IDES"
 
-#: The legacy strict request/response version (no request ids).
-PROTOCOL_V1 = 1
-
-#: The current preferred version: request-id framing, pipelining.
+#: The one wire version: request-id framing, pipelining.
 PROTOCOL_VERSION = 2
 
-#: Request ids are the prelude's 16-bit field; id 0 is valid (v1
-#: frames always carry 0 there).
+#: Request ids are the prelude's 16-bit field; id 0 is valid (error
+#: frames for requests that never decoded carry it).
 MAX_REQUEST_ID = 0xFFFF
 
 #: Hard ceiling on one frame (prelude + header + body). Large enough
@@ -123,18 +106,12 @@ PRELUDE = struct.Struct("!4sBBHII")
 #: malicious header cannot smuggle object dtypes through ``np.frombuffer``.
 _WIRE_DTYPES = {"<f8", "<i8"}
 
-#: Process-wide codec mode for the send side: "scatter" (default)
-#: writes payload views straight to the transport; "join" rebuilds the
-#: legacy single-buffer frame first. The benchmark CLI flips this to
-#: quantify the gap; production code never should.
-CODEC_MODE = "scatter"
-
 
 #: Optional JSON-header field carrying a request's *remaining* latency
 #: budget in milliseconds. Like the trace field it is additive and
 #: tolerant: peers that predate it ignore it (unknown header keys pass
-#: through the codec untouched), so it is v1+v2 safe and never bumps
-#: the protocol version. The wire carries the remaining budget — not an
+#: through the codec untouched), so it never bumps the protocol
+#: version. The wire carries the remaining budget — not an
 #: absolute timestamp — because the two hosts' clocks are unrelated;
 #: each hop re-anchors the budget against its own monotonic clock.
 DEADLINE_FIELD = "deadline_ms"
@@ -198,19 +175,6 @@ class Deadline:
         return f"Deadline(remaining={self.remaining():.4f}s)"
 
 
-def check_codec_mode(mode: str) -> str:
-    """Validate a codec mode name; returns it or raises ProtocolError."""
-    if mode not in ("scatter", "join"):
-        raise ProtocolError(f"codec mode must be 'scatter' or 'join', got {mode!r}")
-    return mode
-
-
-def set_codec_mode(mode: str) -> None:
-    """Select the send-side codec ("scatter" or "join") process-wide."""
-    global CODEC_MODE
-    CODEC_MODE = check_codec_mode(mode)
-
-
 @dataclass(frozen=True)
 class Message:
     """One decoded frame: scalar fields plus named arrays.
@@ -221,14 +185,12 @@ class Message:
             read-only **views** over the frame's receive buffer (the
             zero-copy contract); use :meth:`writable` when a mutable
             copy is genuinely needed.
-        request_id: the prelude's request id (0 for v1 frames).
-        version: the frame's protocol version.
+        request_id: the prelude's request id.
     """
 
     fields: dict
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
     request_id: int = 0
-    version: int = PROTOCOL_VERSION
 
     @property
     def op(self) -> str:
@@ -266,7 +228,6 @@ def encode_frame_parts(
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
 ) -> list:
     """Serialize one message into scatter-write buffers.
 
@@ -287,19 +248,14 @@ def encode_frame_parts(
             zero-copy when already C-contiguous, everything else is
             converted (the only encode copy, and only for non-wire
             inputs).
-        request_id: the 16-bit pipelining id (must be 0 for v1).
-        version: frame version to emit.
+        request_id: the 16-bit pipelining id.
     """
     if "arrays" in fields:
         raise ProtocolError("'arrays' is a reserved header key")
-    if version not in (PROTOCOL_V1, PROTOCOL_VERSION):
-        raise ProtocolError(f"cannot encode unknown protocol version {version}")
     if not 0 <= int(request_id) <= MAX_REQUEST_ID:
         raise ProtocolError(
             f"request id must be in [0, {MAX_REQUEST_ID}], got {request_id}"
         )
-    if version == PROTOCOL_V1 and request_id != 0:
-        raise ProtocolError("v1 frames cannot carry a request id")
     manifest = []
     views: list[memoryview] = []
     body_length = 0
@@ -335,7 +291,7 @@ def encode_frame_parts(
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     prelude = PRELUDE.pack(
-        MAGIC, version, 0, int(request_id), len(header), body_length
+        MAGIC, PROTOCOL_VERSION, 0, int(request_id), len(header), body_length
     )
     return [prelude + header, *views]
 
@@ -344,24 +300,21 @@ def encode_frame(
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
     """Serialize one message into a single complete frame buffer.
 
-    The joined form of :func:`encode_frame_parts` — used by tests and
-    by the legacy "join" codec mode; the hot path scatter-writes the
-    parts instead.
+    The joined form of :func:`encode_frame_parts`, used by tests; the
+    hot path scatter-writes the parts instead.
     """
     return b"".join(
-        bytes(part)
-        for part in encode_frame_parts(fields, arrays, request_id, version)
+        bytes(part) for part in encode_frame_parts(fields, arrays, request_id)
     )
 
 
-def _decode_prelude(prelude: bytes) -> tuple[int, int, int, int]:
+def _decode_prelude(prelude: bytes) -> tuple[int, int, int]:
     """Validate a 16-byte prelude.
 
-    Returns ``(version, request_id, header_length, body_length)``.
+    Returns ``(request_id, header_length, body_length)``.
     """
     try:
         magic, version, flags, request_id, header_length, body_length = (
@@ -371,27 +324,22 @@ def _decode_prelude(prelude: bytes) -> tuple[int, int, int, int]:
         raise ProtocolError(f"truncated frame prelude: {broken}") from None
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    if version not in (PROTOCOL_V1, PROTOCOL_VERSION):
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version} (speaking "
-            f"{PROTOCOL_V1} or {PROTOCOL_VERSION})"
+            f"{PROTOCOL_VERSION})"
         )
     if flags != 0:
-        raise ProtocolError("reserved prelude bits are set")
-    if version == PROTOCOL_V1 and request_id != 0:
         raise ProtocolError("reserved prelude bits are set")
     if PRELUDE.size + header_length + body_length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"declared frame of {PRELUDE.size + header_length + body_length} "
             f"bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
-    return version, request_id, header_length, body_length
+    return request_id, header_length, body_length
 
 
-def _decode_payload(
-    header_bytes: bytes, body, request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
-) -> Message:
+def _decode_payload(header_bytes: bytes, body, request_id: int = 0) -> Message:
     """Parse header JSON + body blobs into a :class:`Message`.
 
     Array payloads come back as reshaped ``np.frombuffer`` views over
@@ -440,14 +388,12 @@ def _decode_payload(
         raise ProtocolError(
             f"frame body has {len(body) - offset} undeclared trailing bytes"
         )
-    return Message(
-        fields=header, arrays=arrays, request_id=request_id, version=version
-    )
+    return Message(fields=header, arrays=arrays, request_id=request_id)
 
 
 def decode_frame(frame: bytes) -> Message:
     """Decode one complete frame (the exact bytes of :func:`encode_frame`)."""
-    version, request_id, header_length, body_length = _decode_prelude(
+    request_id, header_length, body_length = _decode_prelude(
         frame[: PRELUDE.size]
     )
     if len(frame) != PRELUDE.size + header_length + body_length:
@@ -463,7 +409,6 @@ def decode_frame(frame: bytes) -> Message:
         frame[PRELUDE.size : header_end],
         memoryview(frame)[header_end:],
         request_id,
-        version,
     )
 
 
@@ -484,7 +429,7 @@ async def read_message(reader: asyncio.StreamReader) -> Message | None:
         raise ConnectionResetError(
             f"connection closed mid-prelude ({len(eof.partial)} bytes)"
         ) from None
-    version, request_id, header_length, body_length = _decode_prelude(prelude)
+    request_id, header_length, body_length = _decode_prelude(prelude)
     try:
         header_bytes = await reader.readexactly(header_length)
         body = await reader.readexactly(body_length)
@@ -492,7 +437,7 @@ async def read_message(reader: asyncio.StreamReader) -> Message | None:
         raise ConnectionResetError(
             f"connection closed mid-frame ({len(eof.partial)} bytes short)"
         ) from None
-    return _decode_payload(header_bytes, body, request_id, version)
+    return _decode_payload(header_bytes, body, request_id)
 
 
 async def _bounded_flush(
@@ -522,10 +467,9 @@ async def _bounded_flush(
     per-call timeout instead.
 
     Despite the zero-copy motivation, the bound applies to *every*
-    frame a server writes — join-mode and header-only frames included
-    (a multi-megabyte ``ids`` response or an error frame carries no
-    payload views, but an unbounded ``drain()`` on it would pin the
-    server-wide lock all the same).
+    frame a server writes — header-only frames included (an error
+    frame carries no payload views, but an unbounded ``drain()`` on it
+    would pin the server-wide lock all the same).
     """
     transport = writer.transport
     if transport is None:
@@ -584,38 +528,30 @@ async def write_message(
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
     request_id: int = 0,
-    version: int = PROTOCOL_VERSION,
     flush_timeout: float | None = None,
 ) -> None:
     """Encode and send one frame, flushing the transport buffer.
 
-    In the default "scatter" codec mode the payload views are handed
-    to the transport one by one — no joined intermediate frame is ever
-    built — and the coroutine returns only once the transport has
-    fully flushed them (see :func:`_bounded_flush`), so the source
-    arrays are free to be reused or mutated on return. "join" mode
-    rebuilds the legacy single buffer for comparison benchmarks.
-    ``flush_timeout`` bounds every wait — scatter, join, and
-    header-only frames alike — by aborting the connection of a peer
-    that stops reading; without it, only scatter frames with payload
+    The payload views are handed to the transport one by one — no
+    joined intermediate frame is ever built — and the coroutine
+    returns only once the transport has fully flushed them (see
+    :func:`_bounded_flush`), so the source arrays are free to be
+    reused or mutated on return. ``flush_timeout`` bounds every wait —
+    payload and header-only frames alike — by aborting the connection
+    of a peer that stops reading; without it, only frames with payload
     views wait for a full flush (clients bound the wait with their
     per-call timeout instead).
     """
-    parts = encode_frame_parts(fields, arrays, request_id, version)
-    if CODEC_MODE == "join":
-        writer.write(b"".join(bytes(part) for part in parts))
-        scatter_views = False
-    else:
-        for part in parts:
-            writer.write(part)
-        scatter_views = len(parts) > 1
-    if scatter_views or flush_timeout is not None:
+    parts = encode_frame_parts(fields, arrays, request_id)
+    for part in parts:
+        writer.write(part)
+    if len(parts) > 1 or flush_timeout is not None:
         # The bounded flush subsumes drain(): an ordinary drain would
         # block unboundedly at the low-water mark under backpressure —
         # unacceptable both while payload views alias caller arrays
-        # (scatter frames) and while a server-side caller holds the
-        # shard-wide write lock (any frame with flush_timeout set,
-        # header-only error frames and joined buffers included).
+        # and while a server-side caller holds the shard-wide write
+        # lock (any frame with flush_timeout set, header-only error
+        # frames included).
         await _bounded_flush(writer, flush_timeout)
     else:
         await writer.drain()

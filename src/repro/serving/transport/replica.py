@@ -1040,9 +1040,8 @@ async def connect_replica_router(
             repair purely write-gated and operator-triggered.
         **options: forwarded exactly as :func:`connect_router` does —
             client options (``pool_size``, ``timeout``, ``retries``,
-            ``retry_backoff``, ``retry_budget``, ``protocol_version``,
-            ``max_in_flight``) to the member clients, the rest to the
-            router. Passing one
+            ``retry_backoff``, ``retry_budget``, ``max_in_flight``) to
+            the member clients, the rest to the router. Passing one
             :class:`~repro.serving.transport.client.RetryBudget`
             instance shares a single token bucket across every member
             client of every group — a cluster-wide cap on retry
@@ -1059,7 +1058,6 @@ async def connect_replica_router(
             "retries",
             "retry_backoff",
             "retry_budget",
-            "protocol_version",
             "max_in_flight",
         )
         if key in options

@@ -656,8 +656,8 @@ async def connect_router(
             unverified router fail on first use instead.
         **options: forwarded to :class:`ShardedQueryRouter` and the
             underlying clients (``timeout``, ``retries``, ``pool_size``,
-            ``retry_budget``, ``protocol_version``, ``max_in_flight``
-            go to the clients; the rest to the router). One
+            ``retry_budget``, ``max_in_flight`` go to the clients; the
+            rest to the router). One
             :class:`~repro.serving.transport.client.RetryBudget`
             instance passed as ``retry_budget`` is shared by every
             shard client — a cluster-wide cap on retry amplification.
@@ -670,7 +670,6 @@ async def connect_router(
             "retries",
             "retry_backoff",
             "retry_budget",
-            "protocol_version",
             "max_in_flight",
         )
         if key in options

@@ -7,18 +7,15 @@ deployment: it owns exactly one
 local :class:`~repro.serving.engine.QueryEngine`, and answers the RPC
 vocabulary of ``docs/wire-protocol.md`` over length-prefixed frames.
 
-Request handling is version-aware. A protocol v1 frame keeps the
-legacy discipline — single-frame-in / single-frame-out, strictly in
-order — so old clients see exactly the old conversation. A protocol v2
-frame carries a request id, and the connection loop spawns one task
-per request: requests **pipeline** (their ``work_delay``/service time
-overlaps) and responses may return out of order, each echoing its
-request id. Frame writes are serialized (one frame's buffers always
-hit the transport contiguously) — under ``zero_copy`` by one
+Every frame carries a request id, and the connection loop spawns one
+task per request: requests **pipeline** (their ``work_delay``/service
+time overlaps) and responses may return out of order, each echoing
+its request id. Frame writes are serialized (one frame's buffers
+always hit the transport contiguously) — under ``zero_copy`` by one
 server-wide lock shared across connections, which doubles as the
 store mutation barrier described below — and per-request isolation
-holds in both modes: a failing handler produces an error frame for
-its own request id and nothing else. Handler bodies run
+holds: a failing handler produces an error frame for its own request
+id and nothing else. Handler bodies run
 synchronously between awaits on one event loop, so per-request store
 mutations are atomic without extra locking (the store's own lock
 still guards against a co-located refresh thread when a server is
@@ -81,13 +78,10 @@ from ..journal import REPLAY_CHUNK, ShardJournal, store_digest
 from ..snapshot import load_snapshot
 from ..store import InMemoryVectorStore, shard_of
 from .protocol import (
-    PROTOCOL_V1,
     PROTOCOL_VERSION,
     Deadline,
     Message,
-    check_codec_mode,
     read_message,
-    set_codec_mode,
     write_message,
 )
 
@@ -123,13 +117,13 @@ class ShardServer:
         work_delay: artificial seconds of service time added to every
             request — a test/benchmark hook modeling network and
             compute latency deterministically, never set in real
-            deployments. Pipelined (v2) requests overlap their delays.
+            deployments. Pipelined requests overlap their delays.
         zero_copy: gather row views out of the store and scatter-write
             them to the socket (no intermediate stacking). Safe for
             the standard deployment where only this event loop writes
             the store; pass False when embedding the server over a
             store that other threads mutate.
-        max_pipeline: outstanding v2 requests allowed per connection
+        max_pipeline: outstanding requests allowed per connection
             before the read loop stops accepting more (backpressure
             against a peer that writes faster than it reads).
         max_inflight: **server-wide** admission bound: requests queued
@@ -351,7 +345,7 @@ class ShardServer:
                        "Requests queued or in flight, server-wide.",
                        shard, self.inflight_requests),
                 Sample("ides_server_pipelined_requests_total", "counter",
-                       "v2 requests dispatched to pipelined handler tasks.",
+                       "Requests dispatched to pipelined handler tasks.",
                        shard, self.pipelined_requests),
                 Sample("ides_server_connections_rejected_total", "counter",
                        "Connections dropped for protocol violations.",
@@ -409,15 +403,14 @@ class ShardServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         # The write lock keeps response frames contiguous on the
-        # transport when v2 tasks answer concurrently. With zero_copy
+        # transport when request tasks answer concurrently. With zero_copy
         # it is the server-wide lock created in start() (the store
         # mutation barrier — see there); without, a per-connection lock
         # suffices because frames own their payload copies. One task
         # set so a dying connection cancels its outstanding work; one
         # semaphore bounds outstanding pipelined requests — when a
         # client writes faster than it reads answers, the read loop
-        # stalls here and TCP backpressure does the rest (v1's
-        # one-at-a-time discipline gave this for free).
+        # stalls here and TCP backpressure does the rest.
         write_lock = self._write_lock or asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         in_flight = asyncio.Semaphore(self.max_pipeline)
@@ -456,32 +449,17 @@ class ShardServer:
                         extra_fields={"retry_after": self._retry_after()},
                     )
                     continue
-                if request.version == PROTOCOL_V1:
-                    # Legacy conversation: strictly one at a time, in
-                    # order, exactly as a v1 client expects.
-                    self.inflight_requests += 1
-                    try:
-                        stop_after = await self._answer(
-                            writer, write_lock, request
-                        )
-                    finally:
-                        self.inflight_requests -= 1
-                    if stop_after:
-                        return
-                else:
-                    # Pipelined: keep reading; this request's service
-                    # time overlaps every other in-flight request's,
-                    # and its response frame carries its request id.
-                    await in_flight.acquire()
-                    self.pipelined_requests += 1
-                    self.inflight_requests += 1
-                    task = asyncio.create_task(
-                        self._answer_pipelined(
-                            writer, write_lock, request, in_flight
-                        )
-                    )
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
+                # Pipelined: keep reading; this request's service time
+                # overlaps every other in-flight request's, and its
+                # response frame carries its request id.
+                await in_flight.acquire()
+                self.pipelined_requests += 1
+                self.inflight_requests += 1
+                task = asyncio.create_task(
+                    self._answer_pipelined(writer, write_lock, request, in_flight)
+                )
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
         except (ConnectionError, asyncio.CancelledError):
             return
         finally:
@@ -516,8 +494,8 @@ class ShardServer:
         request: Message | None = None,
         extra_fields: dict | None = None,
     ) -> None:
+        # A frame that never decoded has no request id to echo: id 0.
         request_id = request.request_id if request is not None else 0
-        version = request.version if request is not None else PROTOCOL_V1
         try:
             async with write_lock:
                 await write_message(
@@ -529,7 +507,6 @@ class ShardServer:
                         **(extra_fields or {}),
                     },
                     request_id=request_id,
-                    version=version,
                     flush_timeout=self.flush_timeout,
                 )
         except (ConnectionError, OSError):  # pragma: no cover - peer is gone
@@ -542,10 +519,9 @@ class ShardServer:
         request: Message,
         in_flight: asyncio.Semaphore,
     ) -> None:
-        """One spawned v2 request: answer, then release the pipeline
-        slot. The peer hanging up mid-answer is normal connection churn
-        (the v1 serial loop swallows it too), never an unretrieved
-        task exception."""
+        """One spawned request: answer, then release the pipeline slot.
+        The peer hanging up mid-answer is normal connection churn,
+        never an unretrieved task exception."""
         try:
             await self._answer(writer, write_lock, request)
         except (ConnectionError, OSError):
@@ -559,7 +535,7 @@ class ShardServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         request: Message,
-    ) -> bool:
+    ) -> None:
         """Handle one request inside its telemetry envelope.
 
         With tracing enabled the request runs in a ``server:{op}``
@@ -570,7 +546,8 @@ class ShardServer:
         """
         tracer = get_tracer()
         if not tracer.enabled and self._request_seconds is None:
-            return await self._answer_inner(writer, write_lock, request)
+            await self._answer_inner(writer, write_lock, request)
+            return
         op = str(request.op)
         name = self._server_span_names.get(op)
         if name is None:
@@ -583,7 +560,7 @@ class ShardServer:
             attributes=self._span_attributes,
         ):
             try:
-                return await self._answer_inner(writer, write_lock, request)
+                await self._answer_inner(writer, write_lock, request)
             finally:
                 if self._request_seconds is not None:
                     children = self._op_instruments.get(op)
@@ -600,8 +577,8 @@ class ShardServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         request: Message,
-    ) -> bool:
-        """Handle one request; returns True when the server should stop.
+    ) -> None:
+        """Handle one request.
 
         Per-request isolation: any failure becomes an error frame for
         *this* request id; concurrent pipelined requests never see it.
@@ -646,32 +623,27 @@ class ShardServer:
                     fields, arrays = handler(self, request)
             except ReproError as error:
                 await self._write_error_locked(writer, error, request)
-                return False
+                return
             except asyncio.CancelledError:  # connection teardown
                 raise
             except Exception as error:  # noqa: BLE001 - a handler bug must
                 # surface at the caller as an error frame, not kill the
                 # shard
                 await self._write_error_locked(writer, error, request)
-                return False
+                return
             await write_message(
                 writer,
                 {"ok": True, **fields},
                 arrays,
                 request_id=request.request_id,
-                version=request.version,
                 flush_timeout=self.flush_timeout,
             )
         if request.op == "shutdown":
             asyncio.get_running_loop().call_soon(
                 lambda: asyncio.ensure_future(self.stop())
             )
-            if request.version != PROTOCOL_V1:
-                # The pipelined path has no serial loop to break out
-                # of: close the connection so the read loop unblocks.
-                writer.close()
-            return True
-        return False
+            # Close the connection so its read loop unblocks.
+            writer.close()
 
     async def _write_error_locked(
         self, writer: asyncio.StreamWriter, error: Exception, request: Message
@@ -683,7 +655,6 @@ class ShardServer:
             writer,
             {"ok": False, "error": type(error).__name__, "message": str(error)},
             request_id=request.request_id,
-            version=request.version,
             flush_timeout=self.flush_timeout,
         )
 
@@ -964,7 +935,6 @@ def run_shard_server(
     snapshot_path: str | None = None,
     work_delay: float = 0.0,
     max_inflight: int | None = None,
-    codec_mode: str = "scatter",
     ready=None,
     announce=None,
     telemetry: bool = False,
@@ -987,10 +957,6 @@ def run_shard_server(
         max_inflight: server-wide admission bound (queued + in-flight
             requests); excess requests are rejected with an overload
             error frame instead of queued. None: queue everything.
-        codec_mode: send-side codec for this server process ("scatter"
-            or "join") — the knob the transport benchmark flips; the
-            server encodes the payload-heavy direction, so the mode
-            must be set *here*, in the serving process, to matter.
         ready: optional queue-like object; a ``(host, port, extras)``
             triple is ``put()`` once the server listens (``extras``
             carries e.g. the bound metrics address) — how
@@ -1012,7 +978,6 @@ def run_shard_server(
             its pre-crash high-water mark instead of the snapshot's.
         journal_capacity: in-memory journal ring size.
     """
-    set_codec_mode(codec_mode)
     telemetry = telemetry or metrics_port is not None or trace_export is not None
     store = None
     if snapshot_path is not None:
@@ -1152,7 +1117,6 @@ def spawn_shard_process(
     snapshot_path: str | None = None,
     work_delay: float = 0.0,
     max_inflight: int | None = None,
-    codec_mode: str = "scatter",
     startup_timeout: float = 30.0,
     telemetry: bool = False,
     metrics_port: int | None = None,
@@ -1172,8 +1136,6 @@ def spawn_shard_process(
     ``journal_dir`` must be private to this replica — two processes
     appending to one segment chain would interleave their seqs.
     """
-    # Fail in the parent, not as an opaque child startup death.
-    check_codec_mode(codec_mode)
     ready: multiprocessing.Queue = multiprocessing.Queue()
     process = multiprocessing.Process(
         target=run_shard_server,
@@ -1186,7 +1148,6 @@ def spawn_shard_process(
             "snapshot_path": snapshot_path,
             "work_delay": work_delay,
             "max_inflight": max_inflight,
-            "codec_mode": codec_mode,
             "ready": ready,
             "telemetry": telemetry,
             "metrics_port": metrics_port,

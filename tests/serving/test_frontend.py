@@ -11,9 +11,6 @@ from repro.serving import (
     AsyncDistanceFrontend,
     DistanceService,
     FixedWindowPolicy,
-    measure_batching_policy,
-    measure_concurrent_throughput,
-    measure_per_query_throughput,
 )
 
 
@@ -352,21 +349,6 @@ class TestFailureIsolation:
         assert run(scenario()) == pytest.approx(service.engine.point("h2", "h3"))
 
 
-class TestLoadGenerators:
-    def test_reports_carry_throughput(self, service):
-        per_query = measure_per_query_throughput(
-            service, n_clients=4, queries_per_client=20
-        )
-        batched = measure_concurrent_throughput(
-            service, n_clients=4, queries_per_client=20, window=4
-        )
-        assert per_query.total_queries == batched.total_queries == 80
-        assert per_query.queries_per_second > 0
-        assert batched.queries_per_second > 0
-        assert batched.mean_batch >= 1.0
-        assert "qps" in str(per_query) and "qps" in str(batched)
-
-
 class TestBatchPolicies:
     def test_fixed_window_validation(self):
         with pytest.raises(ValidationError):
@@ -462,23 +444,6 @@ class TestBatchPolicies:
         fixed = asyncio.run(with_policy(FixedWindowPolicy(0.5)))
         adaptive = asyncio.run(with_policy(AdaptiveBatchPolicy()))
         assert plain == fixed == adaptive
-
-    def test_simulated_backend_counts_dispatches(self):
-        report = measure_batching_policy(
-            FixedWindowPolicy(0.0),
-            load="steady",
-            n_clients=4,
-            rounds=3,
-            base_ms=0.1,
-        )
-        assert report.total_queries == 12
-        assert report.dispatches >= 3
-        assert report.elapsed_seconds > 0
-        assert "fixed" in str(report).lower() or "Policy" in str(report)
-
-    def test_measure_batching_policy_rejects_unknown_load(self):
-        with pytest.raises(ValidationError):
-            measure_batching_policy(None, load="spiky")
 
 
 class FakeClock:

@@ -271,12 +271,11 @@ class TestTracer:
 
 
 # --------------------------------------------------------------------- #
-# trace-header wire compatibility (both directions, both versions)
+# trace-header wire compatibility (both directions)
 # --------------------------------------------------------------------- #
 
 
 async def _wire_scenario(
-    protocol_version: int,
     client_tracing: bool,
     server_metrics: bool,
     inject=None,
@@ -288,9 +287,7 @@ async def _wire_scenario(
     if server_metrics:
         server.bind_metrics(registry)
     tracer = configure_tracing(enabled=client_tracing, service="compat")
-    client = RemoteShardClient(
-        *server.address, protocol_version=protocol_version, timeout=10.0
-    )
+    client = RemoteShardClient(*server.address, timeout=10.0)
     try:
         await client.call(
             "put_many",
@@ -312,26 +309,20 @@ async def _wire_scenario(
 
 
 class TestTraceHeaderCompatibility:
-    @pytest.mark.parametrize("protocol_version", [1, 2])
-    def test_traced_client_against_untraced_server(self, protocol_version):
+    def test_traced_client_against_untraced_server(self):
         """A peer that predates tracing ignores the extra header key."""
         response, tracer, _ = run(
-            _wire_scenario(protocol_version, client_tracing=True,
-                           server_metrics=False)
+            _wire_scenario(client_tracing=True, server_metrics=False)
         )
         assert response.arrays["outgoing"].shape == (2, 3)
         names = [span["name"] for span in tracer.tail()]
         assert "rpc:gather" in names
 
-    @pytest.mark.parametrize("protocol_version", [1, 2])
-    def test_untraced_client_against_instrumented_server(
-        self, protocol_version
-    ):
+    def test_untraced_client_against_instrumented_server(self):
         """No trace field on the wire: the server still answers and
         accounts the request in its metrics."""
         response, _, registry = run(
-            _wire_scenario(protocol_version, client_tracing=False,
-                           server_metrics=True)
+            _wire_scenario(client_tracing=False, server_metrics=True)
         )
         assert response.arrays["outgoing"].shape == (2, 3)
         parsed = parse_prometheus_text(registry.render_prometheus())
@@ -345,7 +336,7 @@ class TestTraceHeaderCompatibility:
         """A malformed ``trace`` value degrades to an unparented span —
         the request itself must still succeed."""
         response, _, _ = run(
-            _wire_scenario(2, client_tracing=False, server_metrics=True,
+            _wire_scenario(client_tracing=False, server_metrics=True,
                            inject=inject)
         )
         assert response.arrays["outgoing"].shape == (2, 3)
@@ -354,7 +345,7 @@ class TestTraceHeaderCompatibility:
         """Cross-boundary propagation: the server's span must chain to
         the client's rpc span through the wire header."""
         _, tracer, _ = run(
-            _wire_scenario(2, client_tracing=True, server_metrics=True)
+            _wire_scenario(client_tracing=True, server_metrics=True)
         )
         spans = {span["name"]: span for span in tracer.tail(limit=100)}
         rpc = spans["rpc:gather"]

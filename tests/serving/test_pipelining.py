@@ -1,11 +1,11 @@
-"""Tests for protocol v2: pipelining, negotiation, failure injection.
+"""Tests for the wire protocol: pipelining, one version, failure injection.
 
 Covers the request-id framing property-wise (interleaved and
 out-of-order response streams must resolve every caller correctly),
-the v1<->v2 negotiation rules against a v1-only peer, and the chaos
-path: a shard killed mid-pipeline must reject every pending future
-exactly once, and a closed client must fail in-flight calls fast
-instead of letting them hang until their timeout.
+the refusal of any version byte other than 2, and the chaos path: a
+shard killed mid-pipeline must reject every pending future exactly
+once, and a closed client must fail in-flight calls fast instead of
+letting them hang until their timeout.
 """
 
 import asyncio
@@ -34,8 +34,6 @@ from repro.serving.store import InMemoryVectorStore
 from repro.serving.transport.client import _ShardConnection
 from repro.serving.transport.protocol import (
     MAX_REQUEST_ID,
-    PROTOCOL_V1,
-    PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
     read_message,
@@ -58,18 +56,6 @@ class TestRequestIdFraming:
     def test_v2_frame_round_trips_request_id(self):
         message = decode_frame(encode_frame({"op": "ping"}, request_id=777))
         assert message.request_id == 777
-        assert message.version == PROTOCOL_VERSION
-
-    def test_v1_frame_has_request_id_zero(self):
-        message = decode_frame(
-            encode_frame({"op": "ping"}, version=PROTOCOL_V1)
-        )
-        assert message.request_id == 0
-        assert message.version == PROTOCOL_V1
-
-    def test_v1_frame_cannot_carry_a_request_id(self):
-        with pytest.raises(ProtocolError, match="request id"):
-            encode_frame({"op": "ping"}, request_id=3, version=PROTOCOL_V1)
 
     def test_request_id_out_of_range_rejected(self):
         with pytest.raises(ProtocolError, match="request id"):
@@ -91,7 +77,7 @@ class TestRequestIdFraming:
 
 
 class _ShufflingEchoServer:
-    """A stub peer that collects a window of v2 requests and answers
+    """A stub peer that collects a window of requests and answers
     them in an arbitrary (test-chosen) order, echoing each request's
     ``nonce`` field — the adversarial reordering a client's
     demultiplexer must survive."""
@@ -127,7 +113,6 @@ class _ShufflingEchoServer:
                         writer,
                         {"ok": True, "nonce": request.fields.get("nonce")},
                         request_id=request.request_id,
-                        version=request.version,
                     )
         except (ConnectionError, asyncio.CancelledError):
             return
@@ -144,7 +129,6 @@ class TestOutOfOrderResponses:
                 client = RemoteShardClient(
                     *stub.address,
                     pool_size=1,
-                    protocol_version=2,
                     timeout=5.0,
                     retries=0,
                 )
@@ -205,126 +189,72 @@ class TestOutOfOrderResponses:
 
 
 # ---------------------------------------------------------------------- #
-# negotiation
+# one wire version
 # ---------------------------------------------------------------------- #
 
 
-class _V1OnlyServer:
-    """A peer speaking exactly the PR 3 dialect: v1 frames answered in
-    order, any other version refused with a v1 ProtocolError frame and
-    a hangup — byte-identical to what an old ShardServer does."""
+def _ping_frame_with_version(version: int) -> bytes:
+    """A well-formed ping frame whose prelude version byte is ``version``."""
+    frame = bytearray(encode_frame({"op": "ping"}))
+    frame[4] = version
+    return bytes(frame)
 
-    async def __aenter__(self):
-        self._server = await asyncio.start_server(
-            self._serve, "127.0.0.1", 0
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self
 
-    async def __aexit__(self, *exc_info):
-        self._server.close()
-        await self._server.wait_closed()
+class TestSingleVersion:
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_decode_rejects_any_other_version_byte(self, version):
+        with pytest.raises(ProtocolError, match="unsupported protocol version"):
+            decode_frame(_ping_frame_with_version(version))
 
-    async def _serve(self, reader, writer):
-        try:
-            while True:
-                request = await read_message(reader)
-                if request is None:
-                    return
-                if request.version != PROTOCOL_V1:
-                    await write_message(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": "ProtocolError",
-                            "message": (
-                                "unsupported protocol version "
-                                f"{request.version} (speaking 1)"
-                            ),
-                        },
-                        version=PROTOCOL_V1,
+    def test_version_1_frame_is_refused_and_its_connection_closed(self):
+        """A raw version-1 frame gets a ProtocolError error frame (id 0)
+        and a hangup; a client on the same server keeps being answered."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(
+                    *server.address, pool_size=1, timeout=5.0, retries=0
+                )
+                try:
+                    await client.call("ping")
+                    reader, writer = await asyncio.open_connection(
+                        *server.address
                     )
-                    return
-                await write_message(
-                    writer,
-                    {"ok": True, "version": 1, "shard_index": 0,
-                     "n_shards": 1, "dimension": DIMENSION, "n_hosts": 0},
-                    version=PROTOCOL_V1,
-                )
-        except (ConnectionError, asyncio.CancelledError):
-            return
-        finally:
-            writer.close()
-
-
-class TestNegotiation:
-    def test_v2_server_negotiates_v2(self):
-        async def scenario():
-            async with ShardServer(
-                dimension=DIMENSION, shard_index=0, n_shards=1
-            ) as server:
-                client = RemoteShardClient(*server.address)
-                try:
-                    assert client.negotiated_version is None
-                    await client.call("ping")
-                    return client.negotiated_version
-                finally:
-                    await client.close()
-
-        assert run(scenario()) == PROTOCOL_VERSION
-
-    def test_v1_only_peer_negotiates_fallback(self):
-        async def scenario():
-            async with _V1OnlyServer() as stub:
-                client = RemoteShardClient(*stub.address, timeout=5.0)
-                try:
+                    try:
+                        writer.write(_ping_frame_with_version(1))
+                        await writer.drain()
+                        refusal = await asyncio.wait_for(
+                            read_message(reader), timeout=5.0
+                        )
+                        hangup = await asyncio.wait_for(
+                            read_message(reader), timeout=5.0
+                        )
+                    finally:
+                        writer.close()
                     response = await client.call("ping")
-                    first = client.negotiated_version
-                    # Subsequent calls stay on v1 without re-probing.
-                    await client.call("ping")
-                    return first, response.fields["n_hosts"]
+                    return (
+                        refusal,
+                        hangup,
+                        response.fields["n_hosts"],
+                        server.connections_rejected,
+                    )
                 finally:
                     await client.close()
 
-        version, n_hosts = run(scenario())
-        assert version == PROTOCOL_V1
+        refusal, hangup, n_hosts, rejected = run(scenario())
+        assert refusal.request_id == 0
+        assert refusal.fields["ok"] is False
+        assert refusal.fields["error"] == "ProtocolError"
+        assert "unsupported protocol version 1" in refusal.fields["message"]
+        assert hangup is None  # clean EOF: the server closed the socket
         assert n_hosts == 0
+        assert rejected == 1
 
-    def test_forced_v2_against_v1_peer_raises_protocol_error(self):
-        async def scenario():
-            async with _V1OnlyServer() as stub:
-                client = RemoteShardClient(
-                    *stub.address, protocol_version=2, timeout=5.0, retries=0
-                )
-                try:
-                    with pytest.raises(ProtocolError, match="version"):
-                        await client.call("ping")
-                finally:
-                    await client.close()
-
-        run(scenario())
-
-    def test_forced_v1_against_v2_server_works(self):
-        async def scenario():
-            async with ShardServer(
-                dimension=DIMENSION, shard_index=0, n_shards=1
-            ) as server:
-                client = RemoteShardClient(
-                    *server.address, protocol_version=1
-                )
-                try:
-                    response = await client.call("ping")
-                    # The server answered on the legacy sequential path.
-                    assert server.pipelined_requests == 0
-                    return response.fields["n_hosts"], client.negotiated_version
-                finally:
-                    await client.close()
-
-        assert run(scenario()) == (0, PROTOCOL_V1)
-
-    def test_concurrent_first_calls_negotiate_once(self):
-        """A burst of first calls must not run a negotiation storm:
-        one probe settles the version for every caller."""
+    def test_concurrent_first_calls_share_the_pool(self):
+        """A burst of first calls must share the sockets the first of
+        them dials, never race past the pool cap."""
 
         async def scenario():
             async with ShardServer(
@@ -335,13 +265,11 @@ class TestNegotiation:
                     await asyncio.gather(
                         *(client.call("ping") for _ in range(16))
                     )
-                    return client.negotiated_version, client.open_connections
+                    return client.open_connections
                 finally:
                     await client.close()
 
-        version, connections = run(scenario())
-        assert version == PROTOCOL_VERSION
-        assert connections <= 2
+        assert run(scenario()) <= 2
 
 
 # ---------------------------------------------------------------------- #
@@ -508,7 +436,7 @@ class TestBackpressureAndTelemetry:
             ) as server:
                 client = RemoteShardClient(
                     *server.address, timeout=10.0, retries=0,
-                    max_in_flight=16, protocol_version=2,
+                    max_in_flight=16,
                 )
                 started = asyncio.get_running_loop().time()
                 await asyncio.gather(*(client.call("ping") for _ in range(8)))
@@ -579,7 +507,7 @@ class TestBackpressureAndTelemetry:
             ) as server:
                 client = RemoteShardClient(
                     *server.address, pool_size=1, max_in_flight=2,
-                    protocol_version=2, timeout=10.0, retries=0,
+                    timeout=10.0, retries=0,
                 )
                 peak = 0
 
@@ -610,7 +538,7 @@ class TestBackpressureAndTelemetry:
             ) as server:
                 client = RemoteShardClient(
                     *server.address, pool_size=1, retries=2,
-                    retry_backoff=0.0, protocol_version=2,
+                    retry_backoff=0.0,
                 )
                 await client.call("ping")
                 server.work_delay = 0.5
@@ -663,7 +591,7 @@ class TestRequestIdQuarantine:
             reader = asyncio.StreamReader()
             late: list[int] = []
             connection = _ShardConnection(
-                reader, _NullWriter(), PROTOCOL_VERSION, 4,
+                reader, _NullWriter(), 4,
                 on_late_response=lambda: late.append(1),
             )
             try:
@@ -695,7 +623,7 @@ class TestRequestIdQuarantine:
 
         async def scenario():
             connection = _ShardConnection(
-                asyncio.StreamReader(), _NullWriter(), PROTOCOL_VERSION, 4
+                asyncio.StreamReader(), _NullWriter(), 4
             )
             try:
                 connection._abandoned = set(range(MAX_REQUEST_ID + 1))
@@ -936,7 +864,7 @@ class TestCancellationDiscipline:
             reader = asyncio.StreamReader()
             late: list[int] = []
             connection = _ShardConnection(
-                reader, writer, PROTOCOL_VERSION, 4,
+                reader, writer, 4,
                 on_late_response=lambda: late.append(1),
             )
             try:
@@ -972,7 +900,7 @@ class TestCancellationDiscipline:
 
         async def scenario():
             connection = _ShardConnection(
-                asyncio.StreamReader(), _NullWriter(), PROTOCOL_VERSION, 4
+                asyncio.StreamReader(), _NullWriter(), 4
             )
             try:
                 await connection._lock.acquire()  # a long write in flight
@@ -1025,7 +953,14 @@ class TestStalledPeerIsolation:
                         )
                     )
                     await writer_a.drain()
-                    # ... and never read: the stalled peer.
+                    # ... and never read: the stalled peer. Wait until
+                    # the server has dispatched the gather, so the ping
+                    # below queues behind its stalled flush instead of
+                    # overtaking the still-arriving request frame.
+                    for _ in range(1000):
+                        if server.pipelined_requests:
+                            break
+                        await asyncio.sleep(0.005)
                     started = time.perf_counter()
                     response = await asyncio.wait_for(
                         client.call("ping"), timeout=5.0
@@ -1043,46 +978,6 @@ class TestStalledPeerIsolation:
                     await client.close()
 
         run(scenario())
-
-
-class TestCodecModePlumbing:
-    def test_bad_codec_mode_fails_in_the_parent(self):
-        with pytest.raises(ProtocolError, match="codec mode"):
-            spawn_shard_process(0, 1, dimension=DIMENSION, codec_mode="bogus")
-
-    def test_join_codec_shard_process_serves_correctly(self):
-        """The benchmark's --codec join knob reaches the shard process
-        (which encodes the payload-heavy responses) and answers stay
-        bit-identical."""
-        rng = np.random.default_rng(11)
-        ids = [f"h{i}" for i in range(8)]
-        outgoing = rng.random((8, DIMENSION))
-        incoming = rng.random((8, DIMENSION))
-        process = spawn_shard_process(
-            0, 1, dimension=DIMENSION, codec_mode="join"
-        )
-
-        async def scenario():
-            client = RemoteShardClient(*process.address, timeout=10.0)
-            try:
-                await client.call(
-                    "put_many",
-                    {"ids": ids},
-                    {"outgoing": outgoing, "incoming": incoming},
-                )
-                response = await client.call(
-                    "gather", {"ids": ids, "which": "out"}
-                )
-                np.testing.assert_array_equal(
-                    np.asarray(response.array("outgoing")), outgoing
-                )
-            finally:
-                await client.close()
-
-        try:
-            run(scenario())
-        finally:
-            process.stop()
 
 
 class TestShardIndexAttribution:
@@ -1167,7 +1062,7 @@ class TestConnectionTeardownHygiene:
             reader = asyncio.StreamReader()
             writer = _NullWriter()
             connection = _ShardConnection(
-                reader, writer, PROTOCOL_VERSION, 4
+                reader, writer, 4
             )
             reader.feed_eof()
             await asyncio.sleep(0.05)

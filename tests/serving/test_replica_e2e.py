@@ -88,9 +88,13 @@ class TestReplicaEndToEnd:
             )
             try:
                 before = [await router.point(s, d) for s, d in picks]
-                # SIGKILL one replica of EVERY slice mid-session.
-                processes[0][0].kill()
-                processes[1][1].kill()
+                # SIGKILL one replica of EVERY slice mid-session: the
+                # one each group reads first, so a failover must occur.
+                for members, group in zip(processes, router.clients):
+                    preferred = group._read_candidates()[0].client.address
+                    for process in members:
+                        if "%s:%d" % process.address == preferred:
+                            process.kill()
                 after = [await router.point(s, d) for s, d in picks]
                 fan_out = await router.pairs(ids[:8], ids[8:16])
                 health = await router.health()

@@ -148,26 +148,6 @@ class TestServe:
         assert "unknown host" in capsys.readouterr().err
 
 
-class TestServeConcurrent:
-    def test_bench_concurrent_prints_comparison(self, capsys):
-        assert (
-            main(
-                [
-                    "serve", "bench-concurrent",
-                    "--hosts", "80",
-                    "--clients", "4",
-                    "--queries", "10",
-                    "--window", "4",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "per-query dispatch" in output
-        assert "coalesced micro-batched dispatch" in output
-        assert "speedup" in output
-
-
 class TestServeRefresh:
     @pytest.fixture
     def snapshot_path(self, tmp_path, capsys):
