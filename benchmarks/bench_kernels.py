@@ -10,8 +10,11 @@ The ``*_beats_loop`` tests are acceptance gates for the vectorized
 solver core: at P2PSim scale (1143 hosts, d = 10) the mask-grouped and
 batched-NNLS placement paths must beat the per-host
 ``solve_host_vectors`` loop by >= 5x while agreeing with it to 1e-8.
-They run (without statistical timing) in the CI test matrix and feed
-the ``tools/bench_compare.py`` regression gate via the benchmark job.
+``test_full_placement_beats_multi_rhs_lstsq_3x`` gates the stacked
+SVD solve: fully observed placement must beat two multi-right-hand-side
+``np.linalg.lstsq`` calls, timed in the same run, by >= 3x. They run
+(without statistical timing) in the CI test matrix and feed the
+``tools/bench_compare.py`` regression gate via the benchmark job.
 """
 
 import sys
@@ -32,6 +35,11 @@ P2PSIM_HOSTS = 1143
 PLACEMENT_REFS = 20
 PLACEMENT_DIM = 10
 PLACEMENT_SPEEDUP_GATE = 5.0
+#: Fully observed placement over two multi-RHS ``lstsq`` calls.
+FULL_PLACEMENT_GATE = 3.0
+#: Best-of runs per side per pass, and passes, for the ratio gate.
+BEST_OF = 5
+GATE_PASSES = 3
 
 
 def _placement_workload(seed: int = 0):
@@ -124,6 +132,57 @@ def test_nnls_placement_batched_beats_loop_5x():
     """Acceptance gate: batched Lawson-Hanson placement >= 5x the
     per-host loop at P2PSim scale, with identical results."""
     _gate_placement_speedup(nonnegative=True)
+
+
+def _lstsq_placement(out_distances, in_distances, reference_out, reference_in):
+    """Fully observed placement as two multi-RHS ``np.linalg.lstsq``
+    (gelsd) calls, one per direction, every host a right-hand side."""
+    outgoing, *_ = np.linalg.lstsq(reference_in, out_distances.T, rcond=None)
+    incoming, *_ = np.linalg.lstsq(reference_out, in_distances, rcond=None)
+    return outgoing.T, incoming.T
+
+
+def test_full_placement_beats_multi_rhs_lstsq_3x():
+    """Acceptance gate: fully observed placement at P2PSim scale >= 3x
+    two multi-RHS lstsq calls timed in the same run (best-of-5 per
+    side), with results equal to 1e-9."""
+    reference_out, reference_in, out_distances, in_distances, _ = (
+        _placement_workload()
+    )
+    arguments = (out_distances, in_distances, reference_out, reference_in)
+    solvers = {"batched": place_hosts_batch, "lstsq": _lstsq_placement}
+    # One untimed warm-up call per side, then each side's best-of-5 in
+    # a block: a lone call of either side is dominated by the other's
+    # cache and BLAS-thread state, not by its own arithmetic. A pass
+    # that misses the gate (a loaded runner) earns up to two retries;
+    # each side keeps its best time over all passes.
+    results = {name: solve(*arguments) for name, solve in solvers.items()}
+    best = {name: np.inf for name in solvers}
+    for _ in range(GATE_PASSES):
+        for name, solve in solvers.items():
+            for _ in range(BEST_OF):
+                start = time.perf_counter()
+                solve(*arguments)
+                best[name] = min(best[name], time.perf_counter() - start)
+        if best["lstsq"] / best["batched"] >= FULL_PLACEMENT_GATE:
+            break
+
+    for batched, reference in zip(results["batched"], results["lstsq"]):
+        np.testing.assert_allclose(
+            batched, reference, rtol=1e-9, atol=1e-12 * np.abs(reference).max()
+        )
+    speedup = best["lstsq"] / best["batched"]
+    print(
+        f"\n[bench_kernels] full placement, {P2PSIM_HOSTS} hosts: "
+        f"multi-RHS lstsq {best['lstsq'] * 1000:.2f} ms, batched "
+        f"{best['batched'] * 1000:.2f} ms, speedup {speedup:.1f}x "
+        f"(gate >= {FULL_PLACEMENT_GATE:.0f}x)",
+        file=sys.__stdout__,
+        flush=True,
+    )
+    assert speedup >= FULL_PLACEMENT_GATE, (
+        f"full placement only {speedup:.1f}x two multi-RHS lstsq calls"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -23,12 +23,12 @@ import numpy as np
 from .._validation import as_mask, as_matrix
 from ..exceptions import SingularSystemError, ValidationError
 from ..linalg import (
-    mask_row_groups,
     nonnegative_least_squares,
     nonnegative_least_squares_batched,
-    solve_batched_least_squares,
+    row_patterns,
     solve_least_squares,
     solve_weighted_batched_least_squares,
+    stacked_solution_maps,
 )
 from .vectors import HostVectors
 
@@ -104,6 +104,12 @@ def solve_host_vectors(
             f"need >= d={dimension} finite measurements per direction, got "
             f"{int(out_valid.sum())} outgoing and {int(in_valid.sum())} incoming"
         )
+    for direction, valid in (("outgoing", out_valid), ("incoming", in_valid)):
+        if not valid.any():
+            raise ValidationError(
+                f"no finite {direction} measurement to any reference: "
+                "the host cannot be placed"
+            )
 
     if nonnegative:
         outgoing = nonnegative_least_squares(ref_in[out_valid], out_vec[out_valid])
@@ -150,17 +156,28 @@ def place_hosts_batch(
     Returns:
         ``(new_outgoing, new_incoming)`` of shapes ``(n, d)``.
 
-    Every variant is solved vectorized — there is no per-host Python
-    loop. Unconstrained placements group hosts by identical
-    observation-mask pattern (the common case: an outage drops the
-    *same* landmarks for many hosts, Figure 7) and solve each pattern
-    as two multi-RHS systems, one factorization per pattern per
-    direction, with the grouping shared between the outgoing and
-    incoming solves; a fully-observed batch is simply the one-pattern
-    case. The NNLS variant runs the batched Lawson-Hanson kernel
-    (:func:`repro.linalg.nonnegative_least_squares_batched`) over both
-    directions. Relative weighting handles masks natively (a masked
-    measurement simply weighs zero). The single-host
+    Raises:
+        ValidationError: if a host has no reference with both
+            measurements finite and observed; it names the host.
+        SingularSystemError: under ``strict``, if a host observes fewer
+            than ``d`` references or its reference system is
+            rank-deficient.
+
+    Every variant is solved vectorized; there is no per-host Python
+    loop. Hosts are grouped once by observation pattern: the mask rows
+    are packed to bits and keyed by their bytes for one 1-D
+    ``np.unique`` (:func:`repro.linalg.row_patterns`). In the common
+    case an outage drops the *same* landmarks for many hosts (Figure 7),
+    and a fully observed batch is one pattern. Unconstrained placement
+    is then one stacked solve
+    (:func:`repro.linalg.stacked_solution_maps`): one SVD call over
+    every pattern's zero-padded reference matrix, for both directions,
+    gives each pattern a minimum-norm map per direction, and each
+    host's solution is its targets times its pattern's map. The NNLS
+    variant runs the batched Lawson-Hanson
+    kernel (:func:`repro.linalg.nonnegative_least_squares_batched`)
+    over both directions. Relative weighting handles masks natively (a
+    masked measurement simply weighs zero). The single-host
     :func:`solve_host_vectors` is retained as the reference oracle that
     tests and benchmarks compare against.
     """
@@ -190,18 +207,29 @@ def place_hosts_batch(
                 f"in_distances must have shape {(k, n_hosts)}, got {in_matrix.shape}"
             )
 
+    observed = np.isfinite(out_matrix) & np.isfinite(in_matrix.T)
     if observation_mask is not None:
-        observed = as_mask(observation_mask, out_matrix.shape)
-    else:
-        observed = np.ones_like(out_matrix, dtype=bool)
-    observed = observed & np.isfinite(out_matrix) & np.isfinite(in_matrix.T)
+        observed &= as_mask(observation_mask, out_matrix.shape)
+    # Group hosts by observation pattern once; the checks below and both
+    # directions' solves all work per pattern.
+    representatives, pattern_of = row_patterns(np.packbits(observed, axis=1))
+    patterns = observed[representatives]
+    pattern_counts = patterns.sum(axis=1)
+    sparsest = int(np.argmin(pattern_counts))
+    short, fewest = int(representatives[sparsest]), int(pattern_counts[sparsest])
+    dimension = ref_out.shape[1]
+    if strict and fewest < dimension:
+        raise SingularSystemError(
+            f"need >= d={dimension} finite measurements per direction, host "
+            f"{short} observes only {fewest}"
+        )
+    if fewest == 0:
+        raise ValidationError(
+            f"host {short} has no reference with finite, observed measurements "
+            "in both directions: it cannot be placed"
+        )
 
     if weighting == "relative":
-        dimension = ref_out.shape[1]
-        if strict and (observed.sum(axis=1) < dimension).any():
-            raise SingularSystemError(
-                f"some host observes fewer than d={dimension} references"
-            )
         out_weights = relative_error_weights(out_matrix) * observed
         in_weights = relative_error_weights(in_matrix.T) * observed
         new_outgoing = solve_weighted_batched_least_squares(
@@ -212,51 +240,45 @@ def place_hosts_batch(
         )
         return new_outgoing, new_incoming
 
-    dimension = ref_out.shape[1]
-    if strict and (observed.sum(axis=1) < dimension).any():
-        short = int(np.argmax(observed.sum(axis=1) < dimension))
-        raise SingularSystemError(
-            f"need >= d={dimension} finite measurements per direction, host "
-            f"{short} observes only {int(observed[short].sum())}"
-        )
-
+    if patterns.all():
+        # Every host observes every reference: no entry needs zeroing.
+        out_targets, in_targets = out_matrix, in_matrix.T
+    else:
+        out_targets = np.where(observed, out_matrix, 0.0)
+        in_targets = np.where(observed, in_matrix.T, 0.0)
     if nonnegative:
         new_outgoing = nonnegative_least_squares_batched(
-            ref_in, np.where(observed, out_matrix, 0.0), mask=observed
+            ref_in, out_targets, mask=observed
         )
         new_incoming = nonnegative_least_squares_batched(
-            ref_out, np.where(observed, in_matrix.T, 0.0), mask=observed
+            ref_out, in_targets, mask=observed
         )
         return new_outgoing, new_incoming
 
-    if observed.all():
-        # One pattern: both directional solves share the full reference
-        # set, one factorization each.
-        new_outgoing = solve_batched_least_squares(
-            ref_in, out_matrix, ridge=ridge, strict=strict
+    # One stacked solve for both directions: the stack holds every
+    # pattern's zero-padded outgoing-solve basis, then its incoming one.
+    count = patterns.shape[0]
+    maps, ranks = stacked_solution_maps(
+        np.concatenate([patterns[:, :, None] * ref_in, patterns[:, :, None] * ref_out]),
+        observed_rows=np.tile(pattern_counts, 2),
+        ridge=ridge,
+    )
+    if strict and (ranks < dimension).any():
+        deficient = int(np.argmax(ranks < dimension))
+        raise SingularSystemError(
+            f"host {representatives[deficient % count]}'s reference system is "
+            f"rank-deficient (rank {ranks[deficient]} < d={dimension})"
         )
-        new_incoming = solve_batched_least_squares(
-            ref_out, in_matrix.T, ridge=ridge, strict=strict
-        )
-        return new_outgoing, new_incoming
+    return (
+        _apply_maps(out_targets, maps[:count], pattern_of),
+        _apply_maps(in_targets, maps[count:], pattern_of),
+    )
 
-    # Mask-grouped placement: one multi-RHS solve per distinct pattern
-    # per direction, with the pattern grouping computed once and shared
-    # by the outgoing and incoming solves.
-    new_outgoing = np.empty((n_hosts, dimension))
-    new_incoming = np.empty((n_hosts, dimension))
-    in_transposed = in_matrix.T
-    for members, observed_idx in mask_row_groups(observed):
-        new_outgoing[members] = solve_batched_least_squares(
-            ref_in[observed_idx],
-            out_matrix[np.ix_(members, observed_idx)],
-            ridge=ridge,
-            strict=strict,
-        )
-        new_incoming[members] = solve_batched_least_squares(
-            ref_out[observed_idx],
-            in_transposed[np.ix_(members, observed_idx)],
-            ridge=ridge,
-            strict=strict,
-        )
-    return new_outgoing, new_incoming
+
+def _apply_maps(
+    targets: np.ndarray, maps: np.ndarray, pattern_of: np.ndarray
+) -> np.ndarray:
+    """Each host's zero-filled ``targets`` row times its pattern's map."""
+    if maps.shape[0] == 1:
+        return targets @ maps[0]
+    return np.matmul(targets[:, None, :], maps[pattern_of])[:, 0, :]

@@ -8,10 +8,22 @@ with incoming vectors ``Y[i]`` solves (paper Eq. 11 / 15)
     \\vec X_{new} = \\arg\\min_{u} \\sum_i (d^{out}_i - u \\cdot \\vec Y_i)^2
 
 whose closed form (Eq. 13) is ``X_new = (d_out @ Y) @ inv(Y.T @ Y)``.
-This module provides that solve — robustly, via ``lstsq`` when the Gram
-matrix is singular — plus a batched variant used to place thousands of
-hosts at once, and an optional Tikhonov (ridge) regularizer for noisy or
-barely-determined systems (``k`` close to ``d``).
+
+The batched solvers never hand ``lstsq`` thousands of right-hand sides.
+They go through :func:`stacked_solution_maps` instead: one
+``np.linalg.svd`` call over a ``(P, k, d)`` stack of reference
+matrices, one per distinct observation pattern with its unobserved rows
+zeroed, gives every pattern a ``(k, d)`` map ``M_p`` (the transposed
+pseudo-inverse). A host's minimum-norm solution is then one product
+``x_h = t_h @ M_p``. The rank cutoff is ``lstsq(rcond=None)``'s, so rank
+decisions match ``lstsq`` on each pattern's observed rows. Hosts are
+grouped into patterns by :func:`row_patterns`, which views each row as
+one opaque byte string and runs a 1-D ``np.unique`` over those keys.
+
+An optional Tikhonov (ridge) regularizer serves noisy or
+barely-determined systems (``k`` close to ``d``). The single-host
+:func:`solve_least_squares` stays on ``np.linalg.lstsq``: it is the
+reference oracle the batched paths are tested against.
 """
 
 from __future__ import annotations
@@ -25,53 +37,116 @@ __all__ = [
     "solve_least_squares",
     "solve_batched_least_squares",
     "solve_weighted_batched_least_squares",
-    "mask_row_groups",
+    "stacked_solution_maps",
+    "row_patterns",
+    "row_pattern_groups",
     "gram_condition_number",
 ]
 
 
-def row_pattern_groups(rows: np.ndarray) -> list[np.ndarray]:
-    """Index arrays grouping the rows of ``rows`` by exact equality.
+def row_patterns(rows: object) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a 2-D array.
 
-    The shared engine behind every "hosts sharing a pattern share a
-    factorization" path: returns one member-index array per distinct
-    row, in first-appearance order of the sorted-unique patterns.
+    Each contiguous row is viewed as one ``np.void`` scalar holding its
+    raw bytes, and a 1-D ``np.unique`` sorts those keys. Two rows share
+    a pattern exactly when their bytes are equal, so every pattern is
+    value-homogeneous. (Float rows that are equal but differ in bytes,
+    such as ``0.0`` and ``-0.0``, get separate patterns.) Packing a
+    boolean mask with ``np.packbits(mask, axis=1)`` first shortens the
+    keys eightfold.
+
+    Args:
+        rows: ``(n, w)`` array of any fixed-size dtype.
+
+    Returns:
+        ``(representatives, pattern_of)``: ``representatives[p]`` is
+        the index of one row holding pattern ``p``, and
+        ``pattern_of[i]`` is row ``i``'s pattern. Patterns are numbered
+        in byte order of their keys.
     """
-    matrix = np.asarray(rows)
+    matrix = np.ascontiguousarray(rows)
     if matrix.ndim != 2:
         raise ValidationError(f"rows must be 2-D, got shape {matrix.shape}")
-    if matrix.shape[0] == 0:
+    if matrix.shape[1] == 0:
+        # Zero-width rows are all equal; one constant byte keys them.
+        matrix = np.zeros((matrix.shape[0], 1), dtype=np.uint8)
+    width = matrix.dtype.itemsize * matrix.shape[1]
+    keys = matrix.view(np.dtype((np.void, width))).reshape(matrix.shape[0])
+    _, representatives, pattern_of = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    return representatives, pattern_of
+
+
+def row_pattern_groups(rows: object) -> list[np.ndarray]:
+    """Index arrays grouping the rows of ``rows`` by exact (byte) equality.
+
+    One member-index array per pattern of :func:`row_patterns`, members
+    in ascending order. Groups come in byte order of their keys, so
+    callers scatter results by the member indices, never by position.
+    """
+    _, pattern_of = row_patterns(rows)
+    if pattern_of.size == 0:
         return []
-    _, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
+    order = np.argsort(pattern_of, kind="stable")
+    boundaries = np.flatnonzero(np.diff(pattern_of[order])) + 1
     return np.split(order, boundaries)
 
 
-def mask_row_groups(mask_rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group rows of a boolean matrix by identical pattern.
+def stacked_solution_maps(
+    bases: object,
+    observed_rows: object | None = None,
+    ridge: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution maps for a stack of least-squares problems.
 
-    The grouping step behind mask-aware batched placement: hosts that
-    observe the same reference subset (the common case — an outage
-    drops the *same* landmarks for many hosts, Figure 7) share one
-    design sub-matrix, so their solves collapse into one multi-RHS
-    factorization per pattern.
+    Problem ``p`` is ``min_u ||bases[p] @ u - t||^2``. Its minimum-norm
+    solution is ``u = t @ maps[p]``, with ``maps[p] = pinv(bases[p]).T``
+    built from one ``np.linalg.svd`` call over the whole stack. Rows of
+    ``bases[p]`` that are zero (unobserved references) change neither
+    the problem's solutions nor its minimum-norm one, provided the
+    matching entries of ``t`` are zeroed too, so one stack serves
+    patterns that observe different reference subsets.
 
     Args:
-        mask_rows: ``(n, k)`` boolean matrix, one observation row per
-            host.
+        bases: ``(P, k, d)`` stack of reference matrices.
+        observed_rows: length-``P`` count of each basis's observed
+            (non-zeroed) rows; defaults to ``k``. A singular value
+            counts as zero at or below ``eps * max(k_obs, d) * s_max``,
+            the cutoff ``np.linalg.lstsq(rcond=None)`` applies to the
+            ``(k_obs, d)`` observed sub-matrix.
+        ridge: Tikhonov coefficient ``λ > 0`` switches to the stacked
+            normal-equation solve ``maps[p] = B (B.T B + λ I)^{-1}``.
 
     Returns:
-        one ``(member_indices, observed_column_indices)`` pair per
-        distinct pattern, where ``member_indices`` are the row numbers
-        sharing the pattern and ``observed_column_indices`` the True
-        columns of that pattern.
+        ``(maps, ranks)``: the ``(P, k, d)`` maps and each basis's
+        numerical rank (``d`` under ridge, whose systems are
+        nonsingular).
     """
-    mask = np.asarray(mask_rows, dtype=bool)
-    return [
-        (members, np.flatnonzero(mask[members[0]]))
-        for members in row_pattern_groups(mask)
-    ]
+    stack = np.asarray(bases, dtype=float)
+    if stack.ndim != 3:
+        raise ValidationError(
+            f"bases must be a (P, k, d) stack, got shape {stack.shape}"
+        )
+    count, k, dimension = stack.shape
+    if ridge < 0:
+        raise ValidationError(f"ridge must be >= 0, got {ridge}")
+    if ridge > 0.0:
+        transposed = np.swapaxes(stack, 1, 2)
+        gram = transposed @ stack + ridge * np.eye(dimension)
+        maps = np.swapaxes(np.linalg.solve(gram, transposed), 1, 2)
+        return maps, np.full(count, dimension)
+
+    row_counts = np.full(count, k) if observed_rows is None else observed_rows
+    left, singular, right = np.linalg.svd(stack, full_matrices=False)
+    cutoff = (
+        np.finfo(float).eps
+        * np.maximum(row_counts, dimension)[:, None]
+        * singular[:, :1]
+    )
+    keep = singular > cutoff
+    inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=keep)
+    return (left * inverse[:, None, :]) @ right, keep.sum(axis=1)
 
 
 def solve_least_squares(
@@ -136,42 +211,38 @@ def solve_batched_least_squares(
     Args:
         basis: ``(k, d)`` shared reference matrix.
         target_rows: ``(n, k)`` matrix; row ``i`` is the measurement
-            vector of host ``i``.
+            vector of host ``i``. ``n`` may be zero.
         ridge: Tikhonov coefficient shared by all solves.
         strict: as in :func:`solve_least_squares`.
 
     Returns:
         ``(n, d)`` matrix whose row ``i`` solves host ``i``'s problem.
 
-    This is the vectorized form of placing ``n`` ordinary hosts against
-    the same landmark set: one factorization of the shared Gram matrix
-    amortizes over every host, which is what makes IDES placement run in
-    milliseconds even for the P2PSim-scale data set.
+    This is the one-pattern case of :func:`stacked_solution_maps`: one
+    thin SVD of the ``(k, d)`` basis gives its minimum-norm map, and
+    one ``(n, k) @ (k, d)`` product applies it to every host. The
+    answers and the rank decision are those of
+    ``np.linalg.lstsq(basis, target_rows.T, rcond=None)``, without its
+    per-right-hand-side cost.
     """
     basis_matrix = as_matrix(basis, name="basis")
-    rows = as_matrix(target_rows, name="target_rows")
+    rows = np.asarray(target_rows, dtype=float)
     count, dimension = basis_matrix.shape
-    if rows.shape[1] != count:
+    if rows.ndim != 2 or rows.shape[1] != count:
         raise ValidationError(
-            f"target_rows has {rows.shape[1]} columns, expected {count}"
+            f"target_rows must have shape (n, {count}), got {rows.shape}"
         )
-    if ridge < 0:
-        raise ValidationError(f"ridge must be >= 0, got {ridge}")
     if strict and count < dimension:
         raise SingularSystemError(
             f"need at least d={dimension} reference measurements, got k={count}"
         )
 
-    if ridge > 0.0:
-        gram = basis_matrix.T @ basis_matrix + ridge * np.eye(dimension)
-        return np.linalg.solve(gram, basis_matrix.T @ rows.T).T
-
-    solutions, _residuals, rank, _sv = np.linalg.lstsq(basis_matrix, rows.T, rcond=None)
-    if strict and rank < dimension:
+    maps, ranks = stacked_solution_maps(basis_matrix[None], ridge=ridge)
+    if strict and ranks[0] < dimension:
         raise SingularSystemError(
-            f"reference system is rank-deficient (rank {rank} < d={dimension})"
+            f"reference system is rank-deficient (rank {ranks[0]} < d={dimension})"
         )
-    return solutions.T
+    return rows @ maps[0]
 
 
 def solve_weighted_batched_least_squares(
@@ -185,7 +256,10 @@ def solve_weighted_batched_least_squares(
     Row ``h`` solves ``min_u sum_i w[h, i] * (t[h, i] - u . basis[i])^2``.
     Because the weights differ per host, the Gram matrix cannot be
     shared; instead all ``n`` small ``d x d`` normal-equation systems
-    are assembled with one einsum and solved batched.
+    are assembled with one einsum and solved batched. If any of them is
+    singular, every host takes the minimum-norm solution of its normal
+    equations from :func:`stacked_solution_maps` (one stacked SVD), as
+    a per-host ``lstsq`` would.
 
     This is the engine behind IDES's relative-error host placement
     extension: weighting each landmark measurement by ``1 / d^2`` turns
@@ -230,18 +304,11 @@ def solve_weighted_batched_least_squares(
     try:
         return np.linalg.solve(normal, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        # Some host's weighted system is singular: fall back to
-        # minimum-norm solves. Hosts sharing a weight pattern share a
-        # normal matrix, so each pattern is one multi-RHS lstsq rather
-        # than a per-host Python loop (the Figure 7 workload drops the
-        # same landmarks for many hosts at once).
-        solutions = np.empty((rows.shape[0], dimension))
-        for members in row_pattern_groups(weights):
-            solved, *_ = np.linalg.lstsq(
-                normal[members[0]], rhs[members].T, rcond=None
-            )
-            solutions[members] = solved.T
-        return solutions
+        # Some host's weighted system is singular: every host takes the
+        # minimum-norm solution of its normal equations, from one
+        # stacked SVD of all the normal matrices.
+        maps, _ranks = stacked_solution_maps(normal)
+        return np.matmul(rhs[:, None, :], maps)[:, 0, :]
 
 
 def gram_condition_number(basis: object) -> float:

@@ -171,10 +171,12 @@ def _solve_passive_sets(
     Hosts are stacked by free-set size and each size class is one
     batched ``np.linalg.solve`` over the hosts' precomputed ``d x d``
     normal subsystems — so the per-iteration cost no longer scales with
-    the number of distinct passive sets. A size class containing a
-    singular subsystem falls back to grouped minimum-norm ``lstsq`` on
-    the masked design itself, matching the single-RHS solver's
-    rank-deficient behavior exactly.
+    the number of distinct passive sets. Each solve takes one
+    refinement step with its residual on the masked design, so
+    ill-conditioned sub-designs keep ``lstsq``'s accuracy. A size class
+    containing a singular subsystem falls back to grouped minimum-norm
+    ``lstsq`` on the masked design itself, matching the single-RHS
+    solver's rank-deficient behavior exactly.
     """
     count = pending.size
     cols = design.shape[1]
@@ -206,6 +208,27 @@ def _solve_passive_sets(
         except np.linalg.LinAlgError:
             solved = np.empty((hosts.size, int(size)))
             defective = np.ones(hosts.size, dtype=bool)
+        if not defective.all():
+            # One refinement step against the masked design itself
+            # (corrected semi-normal equations): the Gram matrix squares
+            # the design's condition number, so on an ill-conditioned
+            # sub-design the plain normal-equation solve drifts from the
+            # least-squares solution the single-RHS solver's ``lstsq``
+            # finds. The correction's residual is taken on the design,
+            # which recovers those digits.
+            good = np.flatnonzero(~defective)
+            good_hosts = hosts[good]
+            current = np.zeros((good.size, cols))
+            current[np.arange(good.size)[:, None], free_idx[good]] = solved[good]
+            residual = np.where(
+                observed[good_hosts], rhs[good_hosts] - current @ design.T, 0.0
+            )
+            correction_rhs = np.take_along_axis(
+                residual @ design, free_idx[good], axis=1
+            )
+            solved[good] += np.linalg.solve(
+                subsystems[good], correction_rhs[..., None]
+            )[..., 0]
         if defective.any():
             # Minimum-norm solves on the masked design itself — the
             # single-RHS solver's exact rank-deficient behavior —

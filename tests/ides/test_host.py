@@ -105,6 +105,14 @@ class TestSolveHostVectors:
                 rng.random(5), rng.random(6), rng.random((6, 3)), rng.random((6, 3))
             )
 
+    def test_no_finite_measurement_rejected(self, rng):
+        with pytest.raises(ValidationError, match="no finite outgoing measurement"):
+            solve_host_vectors(
+                np.full(6, np.nan), rng.random(6),
+                rng.random((6, 3)), rng.random((6, 3)),
+                strict=False,
+            )
+
 
 class TestPlaceHostsBatch:
     def test_matches_individual_solves(self, factored_world, rng):
@@ -197,6 +205,67 @@ class TestPlaceHostsBatch:
             )
             np.testing.assert_allclose(
                 batch_in[host], single.incoming, atol=1e-8, rtol=1e-7
+            )
+
+    @pytest.mark.parametrize("min_observed", [6, 2])
+    def test_one_pattern_per_host_matches_oracle(self, rng, min_observed):
+        """About one observation pattern per host, each observing k_obs
+        of k = 20 references (down to k_obs < d = 5 without strict):
+        every host's stacked solve equals its own lstsq solve."""
+        reference_out = rng.random((20, 5))
+        reference_in = rng.random((20, 5))
+        out_block = rng.random((150, 20)) * 100
+        in_block = rng.random((20, 150)) * 100
+        mask = np.ones_like(out_block, dtype=bool)
+        for host in range(150):
+            dropped = rng.integers(1, 20 - min_observed + 1)
+            mask[host, rng.choice(20, dropped, replace=False)] = False
+        assert len(np.unique(mask, axis=0)) > 140
+        strict = min_observed >= 5
+        batch_out, batch_in = place_hosts_batch(
+            out_block, in_block, reference_out, reference_in,
+            observation_mask=mask, strict=strict,
+        )
+        for host in range(150):
+            single = solve_host_vectors(
+                np.where(mask[host], out_block[host], np.nan),
+                np.where(mask[host], in_block[:, host], np.nan),
+                reference_out, reference_in, strict=strict,
+            )
+            for batched, oracle in (
+                (batch_out[host], single.outgoing),
+                (batch_in[host], single.incoming),
+            ):
+                np.testing.assert_allclose(
+                    batched, oracle, rtol=1e-9, atol=1e-12 * np.abs(oracle).max()
+                )
+
+    def test_strict_names_rank_deficient_host(self, rng):
+        # References 0-5 are copies of one vector: a host observing only
+        # them has k_obs = 6 >= d = 3 but a rank-1 reference system.
+        reference = rng.random((10, 3))
+        reference[:6] = reference[0]
+        mask = np.ones((4, 10), dtype=bool)
+        mask[2, 6:] = False
+        with pytest.raises(SingularSystemError, match="host 2's"):
+            place_hosts_batch(
+                rng.random((4, 10)), None, reference, reference,
+                observation_mask=mask, strict=True,
+            )
+
+    @pytest.mark.parametrize("blank", ["mask", "nan"])
+    def test_host_without_references_named(self, factored_world, blank):
+        world = factored_world
+        out_block = world["matrix"][np.ix_(world["hosts"], world["landmarks"])].copy()
+        mask = np.ones_like(out_block, dtype=bool)
+        if blank == "mask":
+            mask[3] = False
+        else:
+            out_block[3] = np.nan
+        with pytest.raises(ValidationError, match="host 3 "):
+            place_hosts_batch(
+                out_block, None, world["landmark_out"], world["landmark_in"],
+                observation_mask=mask, strict=False,
             )
 
     def test_masked_nonnegative_batch_matches_oracle(self, factored_world, rng):

@@ -152,6 +152,29 @@ class TestEdgeCases:
             batched @ basis.T, expected @ basis.T, atol=1e-8
         )
 
+    def test_ill_conditioned_design_matches_lstsq_fit(self):
+        """A design mixing 1e-3 and ~50 entries: its Gram matrix squares
+        a ~1e5 condition number, so a bare normal-equation solve drifts
+        ~1e-6 from the reference's ``lstsq`` fit. The batched solver
+        must still land on the reference fit."""
+        basis = np.array(
+            [
+                [1e-3, 6.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [29.0, 49.0, -3.0, 0.0],
+            ]
+        )
+        targets = np.zeros((4, 5))
+        targets[3, 0] = 1.0
+        batched = nonnegative_least_squares_batched(basis, targets)
+        expected = reference_solutions(basis, targets, None)
+        assert (batched >= 0).all()
+        np.testing.assert_allclose(
+            batched @ basis.T, expected @ basis.T, atol=1e-8
+        )
+
     def test_all_active_solution_is_zero(self):
         """Positive design, negative targets: every variable stays
         clamped (the empty-passive fixed point)."""
