@@ -2,17 +2,13 @@
 
 Measurement code, not serving code: ``bench_frontend.py``,
 ``bench_transport.py`` and ``bench_observability.py`` import it, and no
-module under ``src/`` does. Three harnesses:
+module under ``src/`` does. Two harnesses:
 
 * **coalescing** — :func:`measure_concurrent_throughput` drives the
   micro-batching :class:`~repro.serving.AsyncDistanceFrontend` with
   concurrent async clients; :func:`measure_per_query_throughput` serves
   the identical traffic as thread-per-client blocking queries (the
   baseline the frontend replaces);
-* **batch policies** — :func:`measure_batching_policy` runs one batch
-  policy against a steady or bursty synthetic load over
-  :class:`SimulatedDispatchBackend`, whose only behaviour is a
-  deterministic dispatch cost model;
 * **pipelining** — :func:`measure_pipelined_speedup` spawns one shard
   process and compares one client awaiting each RPC in turn against
   the same client keeping ``depth`` RPCs in flight on its one socket.
@@ -32,7 +28,6 @@ from repro.serving import (
     AsyncDistanceFrontend,
     DistanceService,
     MetricsRegistry,
-    PredictionCache,
     RemoteShardClient,
     configure_tracing,
     spawn_shard_process,
@@ -185,202 +180,6 @@ def measure_per_query_throughput(
         total_queries=n_clients * queries_per_client,
         elapsed_seconds=elapsed,
         mean_batch=1.0,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# batch-policy evaluation: synthetic dispatch costs, bursty/steady load
-# ---------------------------------------------------------------------- #
-
-
-class SimulatedDispatchBackend:
-    """An async backend whose only behavior is its *cost model*.
-
-    Every dispatch spends ``base_ms + per_item_us * n`` of event-loop
-    time — the shape of a cross-shard RPC round (fixed protocol/syscall
-    overhead plus linear payload cost). Results are zeros; the point is
-    to make the batching tradeoff real and deterministic so batch
-    policies can be compared: many small dispatches pay ``base_ms``
-    over and over, one large dispatch pays it once but makes early
-    arrivals wait.
-
-    Attributes:
-        dispatches: backend calls executed.
-        items: total requests served across those calls.
-    """
-
-    def __init__(self, base_ms: float = 2.0, per_item_us: float = 4.0):
-        if base_ms < 0 or per_item_us < 0:
-            raise ValidationError("cost-model parameters must be >= 0")
-        self.base = float(base_ms) / 1000.0
-        self.per_item = float(per_item_us) / 1_000_000.0
-        self.cache = PredictionCache()  # stays empty: no hit fast path
-        self.write_epoch = 0
-        self.dispatches = 0
-        self.items = 0
-
-    def cache_put_if_current(self, *args: object) -> bool:
-        return False
-
-    def cache_put_many_if_current(self, *args: object) -> int:
-        return 0
-
-    async def _spend(self, items: int) -> None:
-        self.dispatches += 1
-        self.items += items
-        await asyncio.sleep(self.base + self.per_item * items)
-
-    async def point(self, source_id: object, destination_id: object) -> float:
-        await self._spend(1)
-        return 0.0
-
-    async def pairs(self, source_ids, destination_ids) -> np.ndarray:
-        await self._spend(len(source_ids))
-        return np.zeros(len(source_ids))
-
-    async def one_to_many(self, source_id: object, destination_ids) -> np.ndarray:
-        await self._spend(len(destination_ids))
-        return np.zeros(len(destination_ids))
-
-    async def k_nearest(self, source_id: object, k: int, candidate_ids=None):
-        await self._spend(int(k))
-        return []
-
-
-@dataclass(frozen=True)
-class PolicyReport:
-    """Outcome of one batch policy under one synthetic load.
-
-    Attributes:
-        policy: human-readable policy label.
-        load: "steady" or "bursty".
-        total_queries: point queries completed.
-        elapsed_seconds: wall-clock time for the whole run.
-        dispatches: backend calls the policy's batching produced.
-        mean_batch: average coalesced batch size.
-        batch_wait_ms: the policy's final window (None for no policy).
-    """
-
-    policy: str
-    load: str
-    total_queries: int
-    elapsed_seconds: float
-    dispatches: int
-    mean_batch: float
-    batch_wait_ms: float | None
-
-    @property
-    def queries_per_second(self) -> float:
-        """Aggregate throughput."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.total_queries / self.elapsed_seconds
-
-    def __str__(self) -> str:
-        wait = (
-            f" wait={self.batch_wait_ms:.2f}ms"
-            if self.batch_wait_ms is not None
-            else ""
-        )
-        return (
-            f"{self.policy} [{self.load}]: {self.elapsed_seconds * 1000:.0f} ms "
-            f"for {self.total_queries} queries in {self.dispatches} dispatches "
-            f"(mean batch {self.mean_batch:.0f}{wait})"
-        )
-
-
-async def _drive_steady(
-    frontend: AsyncDistanceFrontend, n_clients: int, rounds: int
-) -> int:
-    """Closed-loop lockstep traffic: every client keeps exactly one
-    query in flight — the regime where any extra window is pure
-    latency tax."""
-
-    async def client(index: int) -> None:
-        for round_number in range(rounds):
-            await frontend.query(("s", index), ("d", round_number))
-
-    await asyncio.gather(*(client(i) for i in range(n_clients)))
-    return n_clients * rounds
-
-
-async def _drive_bursty(
-    frontend: AsyncDistanceFrontend,
-    n_clients: int,
-    rounds: int,
-    window: int,
-    spread_ms: float,
-) -> int:
-    """Closed-loop bursts with intra-burst arrival spread: each round,
-    clients submit ``window`` queries staggered across ``spread_ms`` —
-    the regime where a hold-open window collects the burst instead of
-    shredding it into base-cost-dominated fragments."""
-    spread = spread_ms / 1000.0
-
-    async def client(index: int) -> None:
-        offset = spread * index / max(n_clients - 1, 1)
-        for round_number in range(rounds):
-            await asyncio.sleep(offset)
-            futures = [
-                frontend.submit(("s", index, w), ("d", round_number))
-                for w in range(window)
-            ]
-            for future in futures:
-                await future
-
-    await asyncio.gather(*(client(i) for i in range(n_clients)))
-    return n_clients * rounds * window
-
-
-def measure_batching_policy(
-    policy,
-    load: str = "steady",
-    label: str | None = None,
-    n_clients: int = 24,
-    rounds: int = 20,
-    window: int = 4,
-    spread_ms: float = 6.0,
-    base_ms: float = 2.0,
-    per_item_us: float = 4.0,
-) -> PolicyReport:
-    """Run one batch policy against one synthetic load shape.
-
-    Args:
-        policy: a batch policy instance, or None for bare
-            drain-then-dispatch.
-        load: "steady" (lockstep closed loop) or "bursty" (staggered
-            burst rounds).
-        label: report label (defaults to the policy class name).
-        n_clients / rounds / window / spread_ms: load-shape knobs.
-        base_ms / per_item_us: the simulated dispatch cost model.
-    """
-    if load not in ("steady", "bursty"):
-        raise ValidationError(f"load must be 'steady' or 'bursty', got {load!r}")
-    backend = SimulatedDispatchBackend(base_ms=base_ms, per_item_us=per_item_us)
-    if label is None:
-        label = type(policy).__name__ if policy is not None else "no-policy"
-
-    async def run():
-        async with AsyncDistanceFrontend(backend, policy=policy) as frontend:
-            started = time.perf_counter()
-            if load == "steady":
-                served = await _drive_steady(frontend, n_clients, rounds)
-            else:
-                served = await _drive_bursty(
-                    frontend, n_clients, rounds, window, spread_ms
-                )
-            elapsed = time.perf_counter() - started
-            return served, elapsed, frontend.stats()
-
-    served, elapsed, stats = asyncio.run(run())
-    return PolicyReport(
-        policy=label,
-        load=load,
-        total_queries=served,
-        elapsed_seconds=elapsed,
-        dispatches=backend.dispatches,
-        mean_batch=stats.mean_batch,
-        batch_wait_ms=stats.batch_wait_ms,
     )
 
 

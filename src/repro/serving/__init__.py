@@ -68,12 +68,7 @@ from .observability import (
     scrape,
     set_registry,
 )
-from .frontend import (
-    AdaptiveBatchPolicy,
-    AsyncDistanceFrontend,
-    FixedWindowPolicy,
-    FrontendStats,
-)
+from .frontend import AsyncDistanceFrontend, FrontendStats
 from .refresh import (
     RefreshStats,
     RefreshWorker,
@@ -104,13 +99,11 @@ from .transport import (
 )
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "AsyncDistanceFrontend",
     "CacheStats",
     "ChaosClient",
     "ChaosSchedule",
     "DistanceService",
-    "FixedWindowPolicy",
     "FrontendStats",
     "InMemoryVectorStore",
     "JournalEntry",

@@ -7,31 +7,15 @@ submitted in the same event-loop window into dense
 :class:`~repro.serving.engine.QueryEngine` batches and fans the
 results back to the awaiting callers.
 
-The dispatch policy is *drain-then-dispatch*: when work arrives, the
+The dispatch rule is *drain-then-dispatch*: when work arrives, the
 dispatcher yields to the event loop exactly once — so every runnable
 client gets to enqueue its request — then cuts a batch of up to
 ``max_batch`` requests and executes it immediately. It never idles
-waiting for a fuller batch while callers are blocked on it; the
-optional ``max_wait_ms`` only applies when a batch is still smaller
-than ``min_batch`` (by default it is not used at all). Under 64+
+waiting for a fuller batch while callers are blocked on it. Under 64+
 concurrent clients this turns thousands of individual point queries
 per second into a few dense einsum batches per event-loop cycle —
 ``benchmarks/bench_frontend.py`` quantifies the gap against per-query
 dispatch.
-
-On top of that, the hold-the-batch-open window is **pluggable**: pass
-a *batch policy* (``policy=``) and the dispatcher asks it, after each
-drain pass, how long to keep collecting before cutting the batch.
-:class:`FixedWindowPolicy` reproduces a hand-tuned constant window;
-:class:`AdaptiveBatchPolicy` is a feedback controller that tunes the
-window from EWMAs of observed dispatch latency and arrival rate — it
-holds batches open just long enough to amortize an expensive (e.g.
-cross-shard) dispatch when traffic is bursty, and collapses to
-zero-wait drain-then-dispatch when traffic is steady or light.
-``benchmarks/bench_frontend.py`` gates that the adaptive controller
-matches or beats the best fixed window on both load shapes. The
-controller's current window and its EWMAs are observable through
-:class:`FrontendStats`.
 
 Failure isolation: a batch containing an unknown host does not poison
 its neighbors — the dispatcher retries that batch per-request so only
@@ -40,8 +24,10 @@ the offending futures receive the exception.
 Backends: the frontend dispatches into either a local synchronous
 :class:`~repro.serving.service.DistanceService` (engine calls execute
 inline on the event loop) or any *async backend* exposing coroutine
-``point`` / ``pairs`` / ``one_to_many`` / ``k_nearest`` methods plus
-the epoch-guarded cache surface (``cache``, ``write_epoch``,
+``point`` / ``pairs`` / ``one_to_many`` / ``k_nearest`` methods —
+``point`` and ``pairs`` take a ``deadline`` keyword — plus the
+epoch-guarded cache surface (``cache``, a
+:class:`~repro.serving.cache.PredictionCache`; ``write_epoch``,
 ``cache_put_if_current``, ``cache_put_many_if_current``) — in
 practice the cross-process
 :class:`~repro.serving.transport.ShardedQueryRouter`, whose
@@ -58,7 +44,6 @@ router's single-loop discipline plus :class:`ShardReplicator`).
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,12 +60,7 @@ from .observability.metrics import Sample
 from .observability.tracing import current_context, get_tracer
 from .service import DistanceService
 
-__all__ = [
-    "AdaptiveBatchPolicy",
-    "AsyncDistanceFrontend",
-    "FixedWindowPolicy",
-    "FrontendStats",
-]
+__all__ = ["AsyncDistanceFrontend", "FrontendStats"]
 
 _POINT = 0
 _PAIRS = 1
@@ -117,10 +97,11 @@ class _ServiceBackend:
     def cache_put_many_if_current(self, epoch, entries):
         return self.service.cache_put_many_if_current(epoch, entries)
 
-    async def point(self, source_id, destination_id):
+    # deadline ignored: runs inline right after the frontend sheds expired work
+    async def point(self, source_id, destination_id, deadline=None):
         return self.service.engine.point(source_id, destination_id)
 
-    async def pairs(self, source_ids, destination_ids):
+    async def pairs(self, source_ids, destination_ids, deadline=None):
         return self.service.engine.pairs(source_ids, destination_ids)
 
     async def one_to_many(self, source_id, destination_ids):
@@ -130,17 +111,6 @@ class _ServiceBackend:
         return self.service.engine.k_nearest(
             source_id, k, candidate_ids=candidate_ids
         )
-
-
-def _accepts_deadline(backend) -> bool:
-    """Whether the backend's read coroutines take a ``deadline`` kwarg
-    (:class:`~repro.serving.transport.ShardedQueryRouter` does; a
-    local service backend or a duck-typed fake may not)."""
-    try:
-        parameters = inspect.signature(backend.point).parameters
-    except (TypeError, ValueError):
-        return False
-    return "deadline" in parameters
 
 
 def _as_backend(service):
@@ -155,159 +125,6 @@ def _as_backend(service):
     )
 
 
-class FixedWindowPolicy:
-    """A constant hold-the-batch-open window (hand-tuned batching).
-
-    ``wait_ms=0`` is pure drain-then-dispatch. The policy interface is
-    two methods: :meth:`wait_seconds` (asked after each drain pass)
-    and :meth:`observe` (feedback after each dispatch); arrival
-    notifications come through :meth:`note_arrival`.
-    """
-
-    def __init__(self, wait_ms: float = 0.0):
-        if wait_ms < 0:
-            raise ValidationError(f"wait_ms must be >= 0, got {wait_ms}")
-        self._wait = float(wait_ms) / 1000.0
-
-    def note_arrival(self, count: int = 1) -> None:
-        """Arrivals do not move a fixed window."""
-
-    def wait_seconds(self, pending: int) -> float:
-        """The constant window, regardless of queue depth."""
-        return self._wait
-
-    def observe(self, batch_size: int, dispatch_seconds: float) -> None:
-        """Fixed windows ignore feedback."""
-
-    @property
-    def current_wait_ms(self) -> float:
-        """The window in milliseconds (constant)."""
-        return self._wait * 1000.0
-
-    @property
-    def arrival_rate(self) -> float | None:
-        """Fixed windows do not track arrivals."""
-        return None
-
-    @property
-    def dispatch_latency_ms(self) -> float | None:
-        """Fixed windows do not track dispatch latency."""
-        return None
-
-
-class AdaptiveBatchPolicy:
-    """EWMA feedback controller for the micro-batch window.
-
-    The controller maintains two exponentially-weighted averages —
-    dispatch latency ``L`` (seconds per batch execution) and arrival
-    rate ``λ`` (requests/second, measured between dispatches) — and
-    derives a *target batch* ``λ·L``: the batch size the queue reaches
-    naturally while one dispatch executes, i.e. the equilibrium of
-    drain-then-dispatch. After a drain pass:
-
-    * queue already at (or above) target → dispatch now, zero wait —
-      steady traffic never pays a latency tax;
-    * queue below target and traffic flowing → hold the batch open
-      for the time the EWMA rate needs to fill the gap, capped by
-      ``gain · L`` (never wait longer than a fraction of a dispatch)
-      and by ``ceiling_ms`` — bursty traffic coalesces instead of
-      shredding into base-cost-dominated fragments.
-
-    The controller therefore *converges to the best fixed window for
-    whatever the traffic currently is*, which is exactly what
-    ``benchmarks/bench_frontend.py`` gates against hand-tuned
-    constants.
-
-    Args:
-        gain: cap on the window as a fraction of the latency EWMA.
-        ceiling_ms: absolute cap on the window.
-        alpha: EWMA smoothing factor (weight of the newest sample).
-        clock: monotonic time source (injectable for tests).
-    """
-
-    def __init__(
-        self,
-        gain: float = 0.5,
-        ceiling_ms: float = 10.0,
-        alpha: float = 0.25,
-        clock=time.monotonic,
-    ):
-        if gain < 0:
-            raise ValidationError(f"gain must be >= 0, got {gain}")
-        if ceiling_ms < 0:
-            raise ValidationError(f"ceiling_ms must be >= 0, got {ceiling_ms}")
-        if not 0 < alpha <= 1:
-            raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
-        self.gain = float(gain)
-        self.ceiling = float(ceiling_ms) / 1000.0
-        self.alpha = float(alpha)
-        self._clock = clock
-        self._latency: float | None = None
-        self._rate: float | None = None
-        self._arrived = 0
-        self._last_dispatch_at: float | None = None
-        self._last_wait = 0.0
-
-    def note_arrival(self, count: int = 1) -> None:
-        """Count arrivals for the rate EWMA (called by the frontend)."""
-        self._arrived += count
-
-    def wait_seconds(self, pending: int) -> float:
-        """The window to hold the current batch open, in seconds."""
-        latency, rate = self._latency, self._rate
-        if latency is None or not rate:
-            self._last_wait = 0.0
-            return 0.0  # no feedback yet: behave like drain-then-dispatch
-        target = rate * latency
-        if pending >= target or target < 1.0:
-            # At equilibrium (steady load), or traffic too light for
-            # a window to collect anything: dispatch immediately.
-            self._last_wait = 0.0
-            return 0.0
-        fill_time = (target - pending) / rate
-        hold = min(fill_time, self.gain * latency, self.ceiling)
-        if hold < 1e-4:
-            # Below the event loop's sleep granularity a hold buys
-            # nothing; dispatch now.
-            hold = 0.0
-        self._last_wait = hold
-        return hold
-
-    def observe(self, batch_size: int, dispatch_seconds: float) -> None:
-        """Fold one dispatch's outcome into the EWMAs."""
-        now = self._clock()
-        if self._last_dispatch_at is not None:
-            window = max(now - self._last_dispatch_at, 1e-6)
-            rate = self._arrived / window
-            self._rate = (
-                rate
-                if self._rate is None
-                else (1 - self.alpha) * self._rate + self.alpha * rate
-            )
-        self._arrived = 0
-        self._last_dispatch_at = now
-        self._latency = (
-            dispatch_seconds
-            if self._latency is None
-            else (1 - self.alpha) * self._latency + self.alpha * dispatch_seconds
-        )
-
-    @property
-    def current_wait_ms(self) -> float:
-        """The most recently chosen window, in milliseconds."""
-        return self._last_wait * 1000.0
-
-    @property
-    def arrival_rate(self) -> float | None:
-        """EWMA arrivals/second (None before any feedback)."""
-        return self._rate
-
-    @property
-    def dispatch_latency_ms(self) -> float | None:
-        """EWMA dispatch latency in ms (None before any feedback)."""
-        return None if self._latency is None else self._latency * 1000.0
-
-
 @dataclass(frozen=True)
 class FrontendStats:
     """Counters describing the frontend's coalescing behavior.
@@ -320,13 +137,8 @@ class FrontendStats:
         batches: dispatch cycles executed.
         coalesced: requests executed through dispatch cycles.
         max_batch_seen: largest single dispatch cycle.
-        point_fallbacks: requests retried individually because their
-            batch contained a failing request.
-        batch_wait_ms: the batch policy's current hold-open window
-            (None when no policy is attached).
-        arrival_rate: the policy's EWMA arrivals/second, when tracked.
-        dispatch_latency_ms: the policy's EWMA dispatch latency, when
-            tracked.
+        point_fallbacks: requests re-sent individually because their
+            multi-request batch failed.
         stale_served: point queries answered from a TTL-expired cache
             entry because the backend was overloaded (brownout).
         deadline_rejected: point queries refused at submit time
@@ -342,9 +154,6 @@ class FrontendStats:
     coalesced: int
     max_batch_seen: int
     point_fallbacks: int
-    batch_wait_ms: float | None = None
-    arrival_rate: float | None = None
-    dispatch_latency_ms: float | None = None
     stale_served: int = 0
     deadline_rejected: int = 0
     deadline_shed: int = 0
@@ -373,21 +182,10 @@ class AsyncDistanceFrontend:
             :class:`~repro.serving.transport.ShardedQueryRouter` (see
             the module docstring for the protocol).
         max_batch: largest number of requests executed in one dispatch
-            cycle; overflow stays queued for the next cycle.
-        min_batch: dispatch cycles smaller than this wait up to
-            ``max_wait_ms`` for more arrivals before executing. The
-            default (1) never waits — under load the event-loop drain
-            already forms large batches, and a lone request should not
-            pay a latency tax.
-        max_wait_ms: upper bound on that wait.
-        policy: a batch policy (:class:`FixedWindowPolicy`,
-            :class:`AdaptiveBatchPolicy`, or anything with their
-            ``note_arrival`` / ``wait_seconds`` / ``observe``
-            surface). When given it supersedes the legacy
-            ``min_batch``/``max_wait_ms`` waiting rule: after each
-            drain pass the dispatcher holds the batch open for
-            ``policy.wait_seconds(pending)`` and reports every
-            dispatch back through ``policy.observe``.
+            cycle; overflow stays queued for the next cycle. A cycle
+            never waits for more arrivals: under load the event-loop
+            drain already forms large batches, and a lone request
+            should not pay a latency tax.
         populate_cache: write coalesced point results back into the
             service's prediction cache (point queries always *read*
             the cache at submit time).
@@ -403,34 +201,13 @@ class AsyncDistanceFrontend:
         self,
         service: DistanceService,
         max_batch: int = 4096,
-        min_batch: int = 1,
-        max_wait_ms: float = 0.5,
-        policy=None,
         populate_cache: bool = False,
     ):
         if int(max_batch) < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        if not 1 <= int(min_batch) <= int(max_batch):
-            raise ValidationError(
-                f"min_batch must be in [1, max_batch], got {min_batch}"
-            )
-        if max_wait_ms < 0:
-            raise ValidationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.service = service
         self._backend = _as_backend(service)
-        self._backend_deadline = _accepts_deadline(self._backend)
         self.max_batch = int(max_batch)
-        self.min_batch = int(min_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
-        if policy is not None and not all(
-            callable(getattr(policy, method, None))
-            for method in ("wait_seconds", "observe", "note_arrival")
-        ):
-            raise ValidationError(
-                f"batch policy {policy!r} lacks the wait_seconds/observe/"
-                "note_arrival surface"
-            )
-        self.policy = policy
         self.populate_cache = bool(populate_cache)
         self._pending: list[tuple] = []
         self._in_flight: list[tuple] = []
@@ -476,7 +253,7 @@ class AsyncDistanceFrontend:
 
         def collect():
             stats = self.stats()
-            samples = [
+            return [
                 Sample("ides_frontend_submitted_total", "counter",
                        "Requests submitted to the frontend.",
                        (), stats.submitted),
@@ -492,8 +269,9 @@ class AsyncDistanceFrontend:
                        "Requests that went through a dispatch batch.",
                        (), stats.coalesced),
                 Sample("ides_frontend_point_fallbacks_total", "counter",
-                       "Point queries retried individually after a batch "
-                       "failure.", (), stats.point_fallbacks),
+                       "Point queries re-sent individually after a "
+                       "multi-request batch failed.",
+                       (), stats.point_fallbacks),
                 Sample("ides_frontend_max_batch_seen", "gauge",
                        "Largest batch coalesced so far.",
                        (), stats.max_batch_seen),
@@ -514,13 +292,6 @@ class AsyncDistanceFrontend:
                        "Point queries dropped at dispatch: deadline "
                        "expired while queued.", (), stats.deadline_shed),
             ]
-            if stats.arrival_rate is not None:
-                samples.append(
-                    Sample("ides_frontend_arrival_rate", "gauge",
-                           "Adaptive policy's EWMA arrival rate (req/s).",
-                           (), stats.arrival_rate)
-                )
-            return samples
 
         registry.register_collector(collect)
 
@@ -589,8 +360,6 @@ class AsyncDistanceFrontend:
             self._wakeup.set()
         pending.append(request)
         self._submitted += 1
-        if self.policy is not None:
-            self.policy.note_arrival()
         return request[-1]
 
     def _future(self) -> asyncio.Future:
@@ -620,8 +389,8 @@ class AsyncDistanceFrontend:
         future with :class:`~repro.exceptions.DeadlineExceededError`
         without ever enqueueing it, one that expires while the request
         waits for a dispatch cycle is shed at batch-cut time, and the
-        remaining budget propagates into a deadline-aware backend (the
-        shard router) with the dispatched batch.
+        remaining budget propagates into the backend with the
+        dispatched batch.
         """
         cache = self._backend.cache
         if len(cache):  # a probe into an empty cache is pure overhead
@@ -702,17 +471,6 @@ class AsyncDistanceFrontend:
             # One full pass through the event loop: every runnable
             # client enqueues before the batch is cut.
             await asyncio.sleep(0)
-            if self.policy is not None:
-                if len(self._pending) < self.max_batch:
-                    hold = self.policy.wait_seconds(len(self._pending))
-                    if hold > 0:
-                        await asyncio.sleep(hold)
-            elif (
-                self.min_batch > 1
-                and len(self._pending) < self.min_batch
-                and self.max_wait > 0
-            ):
-                await asyncio.sleep(self.max_wait)
             batch = self._pending[: self.max_batch]
             del self._pending[: self.max_batch]
             if not self._pending:
@@ -738,10 +496,6 @@ class AsyncDistanceFrontend:
                         time.perf_counter() - started
                     )
                     self._batch_size.observe(len(batch))
-                if self.policy is not None:
-                    self.policy.observe(
-                        len(batch), time.perf_counter() - started
-                    )
 
     async def _execute(self, batch: list[tuple]) -> None:
         self._batches += 1
@@ -757,24 +511,8 @@ class AsyncDistanceFrontend:
         # yields, so execution order is unchanged. Failure isolation
         # lives inside the tasks — none of them raises.
         await asyncio.gather(
-            self._execute_point_batch(points),
+            self._execute_points(points),
             *(self._execute_single(request) for request in singles),
-        )
-
-    async def _execute_point_batch(self, points: list[tuple]) -> None:
-        try:
-            await self._execute_points(points)
-        except Exception:  # noqa: BLE001 - any bad request (unknown or
-            # even unhashable host id) must only fail its own future
-            await self._execute_points_individually(points)
-
-    async def _point_call(self, source_id, destination_id, deadline):
-        """One backend point call, forwarding the remaining budget when
-        the backend understands deadlines."""
-        if deadline is None or not self._backend_deadline:
-            return await self._backend.point(source_id, destination_id)
-        return await self._backend.point(
-            source_id, destination_id, deadline=deadline
         )
 
     def _shed_expired(self, points: list[tuple]) -> list[tuple]:
@@ -784,12 +522,13 @@ class AsyncDistanceFrontend:
         :class:`~repro.exceptions.DeadlineExceededError` *without* a
         backend round — dispatching work nobody is still waiting for
         is exactly the congestion-collapse input admission control
-        exists to refuse.
+        exists to refuse. Requests already settled (cancelled, or
+        answered before their batch raised) are dropped too.
         """
         live = []
         for request in points:
             future = request[-1]
-            if future.cancelled():
+            if future.done():
                 continue
             deadline = request[3]
             if deadline is not None and deadline.expired():
@@ -802,111 +541,99 @@ class AsyncDistanceFrontend:
         return live
 
     async def _execute_points(self, points: list[tuple]) -> None:
-        """All point requests of the cycle as one dense pairs batch."""
-        if not points:
-            return
+        """The cycle's point requests: one backend call when alone, one
+        dense pairs batch otherwise."""
         live = self._shed_expired(points)
-        if not live:
-            self._completed += len(points)
-            return
+        if len(live) == 1:
+            await self._resolve_point(live[0], self._backend.write_epoch)
+        elif live:
+            await self._execute_point_batch(live)
+        self._completed += len(points)
+
+    async def _execute_point_batch(self, live: list[tuple]) -> None:
+        """Two or more point requests as one pairs call.
+
+        When the batch raises — any bad request, an unknown or even
+        unhashable host id — every member is re-sent alone, so only
+        the offending futures get the exception and every other caller
+        still receives its answer.
+        """
         backend = self._backend
         epoch = backend.write_epoch
-        if len(live) == 1:
-            _, source_id, destination_id, deadline, context, future = live[0]
-            with get_tracer().span("frontend:point", parent=context):
-                value = await self._point_call(
-                    source_id, destination_id, deadline
-                )
-            if not future.cancelled():
-                future.set_result(value)
-            if self.populate_cache:
-                backend.cache_put_if_current(
-                    epoch, source_id, destination_id, value
-                )
-            self._completed += len(points)
-            return
-        sources = [r[1] for r in live]
-        destinations = [r[2] for r in live]
         # A coalesced batch propagates one wire deadline: the earliest
         # of its members' budgets, and only when every member carries
         # one — a mixed batch must not impose the strictest caller's
         # budget on the unbounded ones. (A member whose own deadline
         # passes mid-flight is caught by the per-request fallback.)
         deadlines = [r[3] for r in live]
-        batch_deadline = None
-        if self._backend_deadline and all(d is not None for d in deadlines):
-            batch_deadline = min(deadlines, key=lambda d: d.remaining())
-        # The batch span parents on the first live submitter's context:
-        # one coalesced backend round genuinely serves many callers, so
-        # one span (sized) represents it rather than n duplicates.
-        with get_tracer().span(
-            "frontend:batch", parent=live[0][4],
-            attributes={"size": len(live)},
-        ):
-            if batch_deadline is None:
-                values = (await backend.pairs(sources, destinations)).tolist()
-            else:
+        deadline = None
+        if all(d is not None for d in deadlines):
+            deadline = min(deadlines, key=lambda d: d.remaining())
+        try:
+            # The batch span parents on the first live submitter's
+            # context: one coalesced backend round genuinely serves
+            # many callers, so one span (sized) represents it rather
+            # than n duplicates.
+            with get_tracer().span(
+                "frontend:batch", parent=live[0][4],
+                attributes={"size": len(live)},
+            ):
                 values = (await backend.pairs(
-                    sources, destinations, deadline=batch_deadline
+                    [r[1] for r in live], [r[2] for r in live],
+                    deadline=deadline,
                 )).tolist()
-        for (*_request, future), value in zip(live, values):
-            if not future.cancelled():
-                future.set_result(value)
-        if self.populate_cache:
-            # Epoch-guarded: a refresh flush racing this batch must not
-            # see its invalidation undone by these writes.
-            backend.cache_put_many_if_current(
-                epoch,
-                [(r[1], r[2], v) for r, v in zip(live, values)],
-            )
-        self._completed += len(points)
-
-    async def _execute_points_individually(self, points: list[tuple]) -> None:
-        """Fallback when a coalesced batch contains a bad request.
-
-        Only the offending futures get the exception; every other
-        caller still receives its answer. This is also the brownout
-        tier: a request the backend refuses with
-        :class:`~repro.exceptions.OverloadedError` is answered from
-        the prediction cache's TTL-expired remains when possible —
-        marked :class:`~repro.serving.cache.StalePrediction` — instead
-        of failing outright.
-        """
-        for _, source_id, destination_id, deadline, _context, future in points:
-            if future.done():  # cancelled, or resolved before the raise
-                continue
-            if deadline is not None and deadline.expired():
-                self._deadline_shed += 1
-                future.set_exception(DeadlineExceededError(
-                    "deadline expired while queued in the frontend"
-                ))
-                continue
-            self._point_fallbacks += 1
-            try:
-                value = await self._point_call(
-                    source_id, destination_id, deadline
-                )
-            except OverloadedError as saturated:
-                peek = getattr(self._backend.cache, "get_stale", None)
-                stale = (
-                    peek(source_id, destination_id)
-                    if peek is not None
-                    else None
-                )
-                if stale is None:
-                    if not future.done():
-                        future.set_exception(saturated)
-                else:
-                    self._stale_served += 1
-                    if not future.done():
-                        future.set_result(stale)
-            except Exception as error:  # noqa: BLE001 - per-request fate
-                if not future.done():
-                    future.set_exception(error)
-            else:
-                if not future.done():
+            for (*_request, future), value in zip(live, values):
+                if not future.cancelled():
                     future.set_result(value)
-        self._completed += len(points)
+            if self.populate_cache:
+                # Epoch-guarded: a refresh flush racing this batch must
+                # not see its invalidation undone by these writes.
+                backend.cache_put_many_if_current(
+                    epoch,
+                    [(r[1], r[2], v) for r, v in zip(live, values)],
+                )
+        except Exception:  # noqa: BLE001 - fall back to per-request fate
+            for request in live:
+                # Shed per request: earlier re-sends spend later budgets.
+                if self._shed_expired([request]):
+                    self._point_fallbacks += 1
+                    await self._resolve_point(request, epoch)
+
+    async def _resolve_point(self, request: tuple, epoch: int) -> None:
+        """Send one point request once and settle its future in place.
+
+        This is also the brownout tier: a request the backend refuses
+        with :class:`~repro.exceptions.OverloadedError` is answered
+        from the prediction cache's TTL-expired remains when possible —
+        marked :class:`~repro.serving.cache.StalePrediction` — instead
+        of failing outright. Any other error fails this future only.
+        """
+        _, source_id, destination_id, deadline, context, future = request
+        backend = self._backend
+        try:
+            with get_tracer().span("frontend:point", parent=context):
+                value = await backend.point(
+                    source_id, destination_id, deadline=deadline
+                )
+        except OverloadedError as saturated:
+            stale = backend.cache.get_stale(source_id, destination_id)
+            if stale is None:
+                if not future.done():
+                    future.set_exception(saturated)
+            else:
+                self._stale_served += 1
+                if not future.done():
+                    future.set_result(stale)
+        except Exception as error:  # noqa: BLE001 - per-request fate
+            if not future.done():
+                future.set_exception(error)
+        else:
+            if not future.done():
+                future.set_result(value)
+            if self.populate_cache:
+                backend.cache_put_if_current(
+                    epoch, source_id, destination_id, value
+                )
 
     async def _execute_single(self, request: tuple) -> None:
         kind, first, second, context, future = request
@@ -944,7 +671,6 @@ class AsyncDistanceFrontend:
 
     def stats(self) -> FrontendStats:
         """Snapshot of the coalescing counters."""
-        policy = self.policy
         return FrontendStats(
             submitted=self._submitted,
             completed=self._completed,
@@ -953,23 +679,6 @@ class AsyncDistanceFrontend:
             coalesced=self._coalesced,
             max_batch_seen=self._max_batch_seen,
             point_fallbacks=self._point_fallbacks,
-            # getattr: the validated policy surface is only
-            # note_arrival/wait_seconds/observe — a custom policy
-            # without the introspection properties must not break
-            # stats().
-            batch_wait_ms=(
-                None
-                if policy is None
-                else getattr(policy, "current_wait_ms", None)
-            ),
-            arrival_rate=(
-                None if policy is None else getattr(policy, "arrival_rate", None)
-            ),
-            dispatch_latency_ms=(
-                None
-                if policy is None
-                else getattr(policy, "dispatch_latency_ms", None)
-            ),
             stale_served=self._stale_served,
             deadline_rejected=self._deadline_rejected,
             deadline_shed=self._deadline_shed,

@@ -218,14 +218,7 @@ class ChaosClient:
                 await asyncio.sleep(self.schedule.slow_read_seconds)
         if decision.duplicate:
             self.duplicated += 1
-            await self._forward(op, fields, arrays, deadline)
-        return await self._forward(op, fields, arrays, deadline)
-
-    async def _forward(self, op, fields, arrays, deadline):
-        # Deadline only rides through when one is set, so wrapped test
-        # fakes with the three-argument ``call`` keep working.
-        if deadline is None:
-            return await self._client.call(op, fields, arrays)
+            await self._client.call(op, fields, arrays, deadline=deadline)
         return await self._client.call(op, fields, arrays, deadline=deadline)
 
     async def close(self) -> None:

@@ -17,12 +17,11 @@ over replica groups without changing a line of its query planning —
 and failover happens *inside* the sub-query, invisible to the caller:
 
 * **Reads** route to the healthiest replica — lowest health score,
-  an EWMA of observed RPC latency (the same feedback idiom as
-  :class:`~repro.serving.frontend.AdaptiveBatchPolicy`) scaled by the
-  replica's observed pipeline depth. A replica that fails a read is
-  marked **dark** and the call retries on the next-best sibling within
-  the same scatter-gather round; only when *every* replica of the
-  slice is dark does the caller see
+  an EWMA of observed RPC latency (``latency_alpha`` weights the
+  newest sample) scaled by the replica's observed pipeline depth. A
+  replica that fails a read is marked **dark** and the call retries on
+  the next-best sibling within the same scatter-gather round; only
+  when *every* replica of the slice is dark does the caller see
   :class:`~repro.exceptions.ShardUnavailableError` (carrying the
   slice's ``shard_index``).
 * **Writes** (``put_many`` / ``update_many`` / ``delete`` /
@@ -83,9 +82,8 @@ __all__ = ["ReplicaGroup", "connect_replica_router"]
 #: read and routes to the healthiest replica with sibling failover.
 FANOUT_OPS = frozenset({"put_many", "update_many", "delete", "shutdown"})
 
-#: EWMA smoothing factor for the per-replica latency estimate — the
-#: same weighting AdaptiveBatchPolicy uses for its dispatch-latency
-#: feedback loop.
+#: EWMA smoothing factor for the per-replica latency estimate: the
+#: weight of the newest RPC's latency.
 LATENCY_ALPHA = 0.2
 
 #: Digest-check / replay iterations one repair attempt may spend
@@ -395,20 +393,16 @@ class ReplicaGroup:
     async def _timed(self, replica: _Replica, op, fields, arrays, deadline=None):
         """One replica RPC, feeding the latency EWMA and histogram.
 
-        ``deadline`` is forwarded only when set, so duck-typed member
-        clients with the three-argument ``call`` keep working. An
-        overload rejection or deadline shed raises before the latency
-        note on purpose: both return fast and would drag the EWMA
-        down, making the *saturated* replica look like the healthiest.
+        An overload rejection or deadline shed raises before the
+        latency note on purpose: both return fast and would drag the
+        EWMA down, making the *saturated* replica look like the
+        healthiest.
         """
         started = time.perf_counter()
         try:
-            if deadline is None:
-                response = await replica.client.call(op, fields, arrays)
-            else:
-                response = await replica.client.call(
-                    op, fields, arrays, deadline=deadline
-                )
+            response = await replica.client.call(
+                op, fields, arrays, deadline=deadline
+            )
         except ShardUnavailableError:
             replica.failures += 1
             raise

@@ -62,15 +62,6 @@ from .client import RemoteShardClient
 __all__ = ["ShardedQueryRouter", "ShardReplicator", "connect_router"]
 
 
-async def _dispatch(client, op, fields=None, arrays=None, deadline=None):
-    """One client RPC, forwarding ``deadline`` only when one is set —
-    duck-typed backends (test fakes, pre-deadline clients) keep their
-    three-argument ``call`` signature."""
-    if deadline is None:
-        return await client.call(op, fields, arrays)
-    return await client.call(op, fields, arrays, deadline=deadline)
-
-
 def _parse_address(address) -> tuple[str, int]:
     if isinstance(address, (tuple, list)) and len(address) == 2:
         return str(address[0]), int(address[1])
@@ -358,8 +349,7 @@ class ShardedQueryRouter:
         groups = group_by_shard(host_ids, self.n_shards)
 
         async def fetch(shard_index: int, positions: np.ndarray):
-            response = await _dispatch(
-                self.clients[shard_index],
+            response = await self.clients[shard_index].call(
                 "gather",
                 {"ids": [host_ids[p] for p in positions], "which": which},
                 deadline=deadline,
@@ -392,8 +382,7 @@ class ShardedQueryRouter:
             source_client = self.client_for(source_id)
             if source_client is self.client_for(destination_id):
                 with self._observe("point"):
-                    response = await _dispatch(
-                        source_client,
+                    response = await source_client.call(
                         "point",
                         {"source": source_id, "dest": destination_id},
                         deadline=deadline,

@@ -11,30 +11,26 @@ Every frame carries a request id, and the connection loop spawns one
 task per request: requests **pipeline** (their ``work_delay``/service
 time overlaps) and responses may return out of order, each echoing
 its request id. Frame writes are serialized (one frame's buffers
-always hit the transport contiguously) — under ``zero_copy`` by one
-server-wide lock shared across connections, which doubles as the
-store mutation barrier described below — and per-request isolation
-holds: a failing handler produces an error frame for its own request
-id and nothing else. Handler bodies run
-synchronously between awaits on one event loop, so per-request store
-mutations are atomic without extra locking (the store's own lock
-still guards against a co-located refresh thread when a server is
-embedded in a bigger process).
+always hit the transport contiguously) by one server-wide lock shared
+across connections, which doubles as the store mutation barrier
+described below — and per-request isolation holds: a failing handler
+produces an error frame for its own request id and nothing else. Only
+the server's own event loop writes its store, and handler bodies run
+synchronously between awaits on that loop, so per-request store
+mutations are atomic without extra locking.
 
-Zero-copy read path: with ``zero_copy=True`` (the default) the
-vector-carrying handlers gather row *views* out of the store
-(``InMemoryVectorStore.gather(copy=False)``) and the codec
-scatter-writes those views straight to the transport — no
+Zero-copy read path: the vector-carrying handlers gather row *views*
+out of the store (``InMemoryVectorStore.gather(copy=False)``) and the
+codec scatter-writes those views straight to the transport — no
 intermediate stacking or ``tobytes()`` on the hot path. Three
-disciplines make this safe: the server mutates its store only from
-its own event loop; ``write_message`` returns only after the
-transport has *fully flushed* the payload views (under backpressure a
-transport retains unsent buffers by reference, and ``drain()`` alone
-resolves at the low-water mark); and every handler+write runs under
-one **server-wide** write lock, so no handler on any connection can
+disciplines make this safe: only the server's own event loop writes
+its store; ``write_message`` returns only after the transport has
+*fully flushed* the payload views (under backpressure a transport
+retains unsent buffers by reference, and ``drain()`` alone resolves at
+the low-water mark); and every handler+write runs under one
+**server-wide** write lock, so no handler on any connection can
 mutate store rows while another connection's frame still aliases
-them. Embedding a server over a store that other *threads* write
-requires ``zero_copy=False``.
+them.
 
 Error discipline: a request that fails validation gets an error frame
 naming the exception type and message, and the connection stays up; a
@@ -101,6 +97,9 @@ def _check_wire_ids(host_ids: list) -> list:
 class ShardServer:
     """Asyncio server for one shard of the distance directory.
 
+    Only the server's own event loop writes its store: response frames
+    carry views of store rows until they are flushed.
+
     Args:
         dimension: model dimension ``d`` (ignored when ``store`` is
             given).
@@ -118,11 +117,6 @@ class ShardServer:
             request — a test/benchmark hook modeling network and
             compute latency deterministically, never set in real
             deployments. Pipelined requests overlap their delays.
-        zero_copy: gather row views out of the store and scatter-write
-            them to the socket (no intermediate stacking). Safe for
-            the standard deployment where only this event loop writes
-            the store; pass False when embedding the server over a
-            store that other threads mutate.
         max_pipeline: outstanding requests allowed per connection
             before the read loop stops accepting more (backpressure
             against a peer that writes faster than it reads).
@@ -135,8 +129,8 @@ class ShardServer:
             default) keeps the legacy queue-everything behaviour.
         flush_timeout: seconds a response write may wait for a
             backpressured peer to drain before the connection is
-            aborted. Bounds how long the zero-copy write lock (shared
-            across connections) can be held by one stalled peer, so a
+            aborted. Bounds how long the write lock (shared across
+            connections) can be held by one stalled peer, so a
             client that stops reading cannot freeze the shard; None
             waits forever.
         journal: a prebuilt :class:`~repro.serving.journal.ShardJournal`
@@ -157,7 +151,6 @@ class ShardServer:
         port: int = 0,
         store: InMemoryVectorStore | None = None,
         work_delay: float = 0.0,
-        zero_copy: bool = True,
         max_pipeline: int = 256,
         max_inflight: int | None = None,
         flush_timeout: float | None = 2.0,
@@ -203,8 +196,7 @@ class ShardServer:
         # where it last snapshotted (puts are idempotent overwrites, so
         # entries the snapshot already contains re-apply harmlessly).
         self.journal.replay_into(store)
-        self.zero_copy = bool(zero_copy)
-        self.engine = QueryEngine(store, zero_copy=self.zero_copy)
+        self.engine = QueryEngine(store, zero_copy=True)
         self.shard_index = int(shard_index)
         self.n_shards = int(n_shards)
         self.work_delay = float(work_delay)
@@ -252,18 +244,18 @@ class ShardServer:
         if self._server is not None:
             return self.address
         self._stopped = asyncio.Event()
-        # With zero_copy, response frames hold *views* of store rows
-        # until fully flushed, so one lock must serialize every
-        # handler+write+flush across ALL connections — otherwise a
-        # mutating handler on connection B could rewrite rows that
-        # connection A's backpressured frame still aliases. Handlers
-        # are synchronous and writes normally flush instantly, so the
-        # shared lock costs nothing until a peer actually backpressures
-        # (then its flush briefly stalls other connections' responses —
-        # the price of zero-copy, bounded by flush_timeout, which
-        # aborts a peer that stops reading mid-flush; zero_copy=False
-        # restores fully independent per-connection writes).
-        self._write_lock = asyncio.Lock() if self.zero_copy else None
+        # Response frames hold *views* of store rows until fully
+        # flushed, so one lock must serialize every handler+write+flush
+        # across ALL connections (it also keeps each frame contiguous
+        # on the transport) — otherwise a mutating handler on
+        # connection B could rewrite rows that connection A's
+        # backpressured frame still aliases. Handlers are synchronous
+        # and writes normally flush instantly, so the shared lock costs
+        # nothing until a peer actually backpressures (then its flush
+        # briefly stalls other connections' responses — the price of
+        # zero-copy, bounded by flush_timeout, which aborts a peer that
+        # stops reading mid-flush).
+        self._write_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -402,16 +394,10 @@ class ShardServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # The write lock keeps response frames contiguous on the
-        # transport when request tasks answer concurrently. With zero_copy
-        # it is the server-wide lock created in start() (the store
-        # mutation barrier — see there); without, a per-connection lock
-        # suffices because frames own their payload copies. One task
-        # set so a dying connection cancels its outstanding work; one
-        # semaphore bounds outstanding pipelined requests — when a
-        # client writes faster than it reads answers, the read loop
-        # stalls here and TCP backpressure does the rest.
-        write_lock = self._write_lock or asyncio.Lock()
+        # One task set so a dying connection cancels its outstanding
+        # work; one semaphore bounds outstanding pipelined requests —
+        # when a client writes faster than it reads answers, the read
+        # loop stalls here and TCP backpressure does the rest.
         tasks: set[asyncio.Task] = set()
         in_flight = asyncio.Semaphore(self.max_pipeline)
         try:
@@ -423,7 +409,7 @@ class ShardServer:
                     # hang up. The listener and every other connection
                     # keep serving.
                     self.connections_rejected += 1
-                    await self._try_error(writer, write_lock, broken)
+                    await self._try_error(writer, broken)
                     return
                 if request is None:  # clean EOF
                     return
@@ -439,7 +425,6 @@ class ShardServer:
                     self.overload_rejections += 1
                     await self._try_error(
                         writer,
-                        write_lock,
                         OverloadedError(
                             f"shard {self.shard_index} is saturated "
                             f"({self.inflight_requests} requests in "
@@ -456,7 +441,7 @@ class ShardServer:
                 self.pipelined_requests += 1
                 self.inflight_requests += 1
                 task = asyncio.create_task(
-                    self._answer_pipelined(writer, write_lock, request, in_flight)
+                    self._answer_pipelined(writer, request, in_flight)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -489,7 +474,6 @@ class ShardServer:
     async def _try_error(
         self,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
         error: Exception,
         request: Message | None = None,
         extra_fields: dict | None = None,
@@ -497,7 +481,7 @@ class ShardServer:
         # A frame that never decoded has no request id to echo: id 0.
         request_id = request.request_id if request is not None else 0
         try:
-            async with write_lock:
+            async with self._write_lock:
                 await write_message(
                     writer,
                     {
@@ -515,7 +499,6 @@ class ShardServer:
     async def _answer_pipelined(
         self,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
         request: Message,
         in_flight: asyncio.Semaphore,
     ) -> None:
@@ -523,7 +506,7 @@ class ShardServer:
         The peer hanging up mid-answer is normal connection churn,
         never an unretrieved task exception."""
         try:
-            await self._answer(writer, write_lock, request)
+            await self._answer(writer, request)
         except (ConnectionError, OSError):
             pass
         finally:
@@ -531,10 +514,7 @@ class ShardServer:
             in_flight.release()
 
     async def _answer(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        request: Message,
+        self, writer: asyncio.StreamWriter, request: Message
     ) -> None:
         """Handle one request inside its telemetry envelope.
 
@@ -546,7 +526,7 @@ class ShardServer:
         """
         tracer = get_tracer()
         if not tracer.enabled and self._request_seconds is None:
-            await self._answer_inner(writer, write_lock, request)
+            await self._answer_inner(writer, request)
             return
         op = str(request.op)
         name = self._server_span_names.get(op)
@@ -560,7 +540,7 @@ class ShardServer:
             attributes=self._span_attributes,
         ):
             try:
-                await self._answer_inner(writer, write_lock, request)
+                await self._answer_inner(writer, request)
             finally:
                 if self._request_seconds is not None:
                     children = self._op_instruments.get(op)
@@ -573,19 +553,16 @@ class ShardServer:
                     children[1].inc()
 
     async def _answer_inner(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        request: Message,
+        self, writer: asyncio.StreamWriter, request: Message
     ) -> None:
         """Handle one request.
 
         Per-request isolation: any failure becomes an error frame for
         *this* request id; concurrent pipelined requests never see it.
 
-        The handler body and the response write happen under the write
-        lock — server-wide under ``zero_copy`` — so any store views
-        the handler returns (the zero-copy gather path) are fully
+        The handler body and the response write happen under the
+        server-wide write lock, so any store views the handler returns
+        (the zero-copy gather path) are fully
         flushed to the socket — ``write_message`` waits out transport
         backpressure rather than trusting ``drain()``'s low-water
         mark — before the lock is released and another task *on any
@@ -599,7 +576,7 @@ class ShardServer:
         if self.work_delay:
             await asyncio.sleep(self.work_delay)
         handler = self._HANDLERS.get(request.op)
-        async with write_lock:
+        async with self._write_lock:
             try:
                 # Shed, don't serve: a request whose propagated budget
                 # ran out while it waited (pipeline queue, work_delay,
@@ -749,7 +726,7 @@ class ShardServer:
         which = message.fields.get("which", "both")
         # copy=False: contiguous row slabs leave the store as views and
         # the codec scatter-writes them — no intermediate stacking.
-        outgoing, incoming = self.store.gather(ids, copy=not self.zero_copy)
+        outgoing, incoming = self.store.gather(ids, copy=False)
         # A gather is the shard's share of a routed batch (the einsum
         # runs at the router), so it must register as served work or
         # the dominant pairs path would leave every counter at zero.
@@ -787,7 +764,7 @@ class ShardServer:
                 f"source_out must have shape ({self.store.dimension},), "
                 f"got {source_out.shape}"
             )
-        _, incoming = self.store.gather(destinations, copy=not self.zero_copy)
+        _, incoming = self.store.gather(destinations, copy=False)
         self.engine.count_served(len(destinations))
         return {}, {"values": incoming @ source_out}
 
@@ -813,7 +790,7 @@ class ShardServer:
             candidates = [c for c in candidates if c != exclude]
         if not candidates:
             return {"ids": []}, {"values": np.zeros(0)}
-        _, incoming = self.store.gather(candidates, copy=not self.zero_copy)
+        _, incoming = self.store.gather(candidates, copy=False)
         distances = incoming @ source_out
         self.engine.count_served(len(candidates))
         top = top_k_ascending(distances, k)

@@ -126,3 +126,15 @@ class TestCheckerCatchesRot:
     def test_axis_catalog_check_scoped_to_experiments_page(self, tmp_path):
         page = tmp_path / "other.md"
         assert checker.check_axis_catalog(page, "--preset warp") == []
+
+    def test_flags_undefined_camel_case_name(self, tmp_path):
+        page = tmp_path / "bad.md"
+        text = (
+            "Wrap `ShardServer`, `Deadline()` and `ValueError`.\n"
+            "Tune the `GhostBatchPolicy()` window.\n"
+            "```text\n`AnotherGhost` inside a fence is code\n```\n"
+        )
+        errors = checker.check_names(page, text)
+        assert errors == [
+            "bad.md:2: `GhostBatchPolicy` is not defined under src/repro"
+        ]

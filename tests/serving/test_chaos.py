@@ -29,7 +29,7 @@ class Recorder:
         self.calls = []
         self.closed = False
 
-    async def call(self, op, fields=None, arrays=None):
+    async def call(self, op, fields=None, arrays=None, deadline=None):
         self.calls.append((op, fields))
         return {"ok": self.address}
 

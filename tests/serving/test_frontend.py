@@ -5,12 +5,11 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import OverloadedError, ReproError, ValidationError
 from repro.serving import (
-    AdaptiveBatchPolicy,
     AsyncDistanceFrontend,
     DistanceService,
-    FixedWindowPolicy,
+    PredictionCache,
 )
 
 
@@ -88,10 +87,6 @@ class TestLifecycle:
     def test_invalid_parameters(self, service):
         with pytest.raises(ValidationError):
             AsyncDistanceFrontend(service, max_batch=0)
-        with pytest.raises(ValidationError):
-            AsyncDistanceFrontend(service, max_batch=4, min_batch=8)
-        with pytest.raises(ValidationError):
-            AsyncDistanceFrontend(service, max_wait_ms=-1)
 
 
 class TestCorrectness:
@@ -201,16 +196,6 @@ class TestCoalescing:
         stats = run(scenario())
         assert stats.max_batch_seen <= 8
         assert stats.batches >= 4
-
-    def test_min_batch_waits_but_still_answers_lone_query(self, service):
-        async def scenario():
-            frontend = AsyncDistanceFrontend(
-                service, min_batch=16, max_wait_ms=5.0
-            )
-            async with frontend:
-                return await frontend.query("h2", "h9")
-
-        assert run(scenario()) == pytest.approx(service.engine.point("h2", "h9"))
 
     def test_submit_pipelines_into_one_cycle(self, service):
         async def scenario():
@@ -348,148 +333,53 @@ class TestFailureIsolation:
 
         assert run(scenario()) == pytest.approx(service.engine.point("h2", "h3"))
 
+    @pytest.mark.parametrize(
+        "error",
+        [OverloadedError("shard saturated"), ValidationError("unknown host")],
+        ids=["overloaded", "validation"],
+    )
+    def test_lone_failing_point_query_is_sent_once(self, error):
+        """A point query alone in its cycle fails in place: the backend
+        sees one call, not the call plus a per-request re-send."""
+        backend = _FailingBackend(error)
 
-class TestBatchPolicies:
-    def test_fixed_window_validation(self):
-        with pytest.raises(ValidationError):
-            FixedWindowPolicy(-1.0)
-
-    def test_adaptive_validation(self):
-        with pytest.raises(ValidationError):
-            AdaptiveBatchPolicy(gain=-0.1)
-        with pytest.raises(ValidationError):
-            AdaptiveBatchPolicy(alpha=0.0)
-        with pytest.raises(ValidationError):
-            AdaptiveBatchPolicy(ceiling_ms=-1.0)
-
-    def test_frontend_rejects_policy_without_surface(self, service):
-        with pytest.raises(ValidationError, match="policy"):
-            AsyncDistanceFrontend(service, policy=object())
-
-    def test_adaptive_waits_nothing_before_feedback(self):
-        policy = AdaptiveBatchPolicy()
-        assert policy.wait_seconds(pending=1) == 0.0
-        assert policy.dispatch_latency_ms is None
-        assert policy.arrival_rate is None
-
-    def test_adaptive_zero_wait_at_equilibrium(self):
-        """Steady load: the queue reaches the rate*latency target on
-        its own, so the controller must not add latency."""
-        clock = FakeClock()
-        policy = AdaptiveBatchPolicy(clock=clock)
-        for _ in range(10):
-            policy.note_arrival(32)
-            clock.advance(0.01)
-            policy.observe(batch_size=32, dispatch_seconds=0.01)
-        # rate ~3200/s, latency ~10ms -> target ~32; 32 pending = go now
-        assert policy.wait_seconds(pending=32) == 0.0
-        # a fragment far below target earns a bounded hold
-        hold = policy.wait_seconds(pending=2)
-        assert 0.0 < hold <= 0.01 * policy.gain + 1e-9
-
-    def test_adaptive_skips_wait_under_light_traffic(self):
-        clock = FakeClock()
-        policy = AdaptiveBatchPolicy(clock=clock)
-        for _ in range(5):
-            policy.note_arrival(1)
-            clock.advance(1.0)  # one request per second: target << 1
-            policy.observe(batch_size=1, dispatch_seconds=0.005)
-        assert policy.wait_seconds(pending=1) == 0.0
-
-    def test_adaptive_hold_is_capped_by_ceiling(self):
-        clock = FakeClock()
-        policy = AdaptiveBatchPolicy(ceiling_ms=2.0, gain=10.0, clock=clock)
-        for _ in range(5):
-            policy.note_arrival(1000)
-            clock.advance(0.1)
-            policy.observe(batch_size=100, dispatch_seconds=0.1)
-        assert policy.wait_seconds(pending=1) <= 0.002 + 1e-9
-
-    def test_stats_expose_policy_state(self, service):
         async def scenario():
-            policy = AdaptiveBatchPolicy()
-            async with AsyncDistanceFrontend(service, policy=policy) as frontend:
-                ids = service.known_hosts()
-                await asyncio.gather(
-                    *(frontend.query(ids[i], ids[-1 - i]) for i in range(8))
-                )
+            async with AsyncDistanceFrontend(backend) as frontend:
+                with pytest.raises(type(error)):
+                    await frontend.query("a", "b")
                 return frontend.stats()
 
-        stats = asyncio.run(scenario())
-        assert stats.batch_wait_ms is not None
-        assert stats.dispatch_latency_ms is not None
-        assert stats.completed == stats.submitted
-
-    def test_stats_without_policy_report_none(self, service):
-        async def scenario():
-            async with AsyncDistanceFrontend(service) as frontend:
-                ids = service.known_hosts()
-                await frontend.query(ids[0], ids[1])
-                return frontend.stats()
-
-        stats = asyncio.run(scenario())
-        assert stats.batch_wait_ms is None
-        assert stats.arrival_rate is None
-
-    def test_fixed_window_results_identical_to_no_policy(self, service):
-        ids = service.known_hosts()
-
-        async def with_policy(policy):
-            async with AsyncDistanceFrontend(service, policy=policy) as frontend:
-                return await asyncio.gather(
-                    *(frontend.query(ids[i], ids[-1 - i]) for i in range(12))
-                )
-
-        plain = asyncio.run(with_policy(None))
-        fixed = asyncio.run(with_policy(FixedWindowPolicy(0.5)))
-        adaptive = asyncio.run(with_policy(AdaptiveBatchPolicy()))
-        assert plain == fixed == adaptive
+        stats = run(scenario())
+        assert backend.calls == ["point"]
+        assert stats.completed == stats.submitted == 1
+        assert stats.point_fallbacks == 0
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
+class _FailingBackend:
+    """Async backend whose every read raises ``error``; records calls."""
 
-    def __call__(self) -> float:
-        return self.now
+    def __init__(self, error):
+        self.error = error
+        self.cache = PredictionCache()
+        self.write_epoch = 0
+        self.calls = []
 
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+    def cache_put_if_current(self, *args):
+        return False
 
+    def cache_put_many_if_current(self, *args):
+        return 0
 
-class TestMinimalPolicySurface:
-    def test_policy_with_only_required_methods_works_end_to_end(self, service):
-        """The documented duck-type surface is exactly three methods;
-        dispatch and stats() must both work without the introspection
-        properties."""
+    async def point(self, source_id, destination_id, deadline=None):
+        self.calls.append("point")
+        raise self.error
 
-        class Minimal:
-            observed = 0
+    async def pairs(self, source_ids, destination_ids, deadline=None):
+        self.calls.append("pairs")
+        raise self.error
 
-            def note_arrival(self, count=1):
-                pass
+    async def one_to_many(self, source_id, destination_ids):
+        raise self.error
 
-            def wait_seconds(self, pending):
-                return 0.0
-
-            def observe(self, batch_size, dispatch_seconds):
-                self.observed += 1
-
-        async def scenario():
-            policy = Minimal()
-            async with AsyncDistanceFrontend(service, policy=policy) as frontend:
-                ids = service.known_hosts()
-                await frontend.query(ids[0], ids[1])
-                # observe() runs on the dispatcher's continuation after
-                # the caller is woken; give the loop a beat.
-                for _ in range(100):
-                    if policy.observed:
-                        break
-                    await asyncio.sleep(0.001)
-                stats = frontend.stats()
-            return policy, stats
-
-        policy, stats = asyncio.run(scenario())
-        assert policy.observed >= 1
-        assert stats.batch_wait_ms is None  # absent property -> None
-        assert stats.dispatch_latency_ms is None
+    async def k_nearest(self, source_id, k, candidate_ids=None):
+        raise self.error

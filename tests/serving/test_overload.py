@@ -263,6 +263,63 @@ class TestFrontendDeadline:
         for i, value in zip(range(2, 6), values):
             assert value == pytest.approx(service.engine.point("h1", f"h{i}"))
 
+    def test_coalesced_batch_forwards_the_earliest_deadline(self):
+        backend = _DeadlineRecorder()
+        budgets = [Deadline.after(s) for s in (30.0, 5.0, 60.0)]
+        run(_submit_all(backend, budgets))
+        assert backend.received == [("pairs", budgets[1])]
+
+    def test_partly_bounded_batch_forwards_no_deadline(self):
+        backend = _DeadlineRecorder()
+        budgets = [Deadline.after(5.0), None, Deadline.after(30.0)]
+        run(_submit_all(backend, budgets))
+        assert backend.received == [("pairs", None)]
+
+    def test_lone_point_query_forwards_its_own_deadline(self):
+        backend = _DeadlineRecorder()
+        budget = Deadline.after(30.0)
+        run(_submit_all(backend, [budget]))
+        assert backend.received == [("point", budget)]
+
+
+class _DeadlineRecorder:
+    """Async backend that records the deadline each point read gets."""
+
+    def __init__(self):
+        self.cache = PredictionCache()
+        self.write_epoch = 0
+        self.received = []
+
+    def cache_put_if_current(self, *args):
+        return False
+
+    def cache_put_many_if_current(self, *args):
+        return 0
+
+    async def point(self, source_id, destination_id, deadline=None):
+        self.received.append(("point", deadline))
+        return 1.0
+
+    async def pairs(self, source_ids, destination_ids, deadline=None):
+        self.received.append(("pairs", deadline))
+        return np.ones(len(source_ids))
+
+    async def one_to_many(self, source_id, destination_ids):
+        return np.ones(len(destination_ids))
+
+    async def k_nearest(self, source_id, k, candidate_ids=None):
+        return []
+
+
+async def _submit_all(backend, deadlines):
+    """Submit one point query per deadline into a single cycle."""
+    async with AsyncDistanceFrontend(backend) as frontend:
+        futures = [
+            frontend.submit("a", f"b{i}", deadline=deadline)
+            for i, deadline in enumerate(deadlines)
+        ]
+        return [await future for future in futures]
+
 
 class TestFrontendBrownout:
     def test_overload_serves_ttl_expired_entry_as_stale(self):
@@ -343,6 +400,20 @@ class TestRouterBrownout:
             run(router.point("x", "y"))
         assert caught.value.retry_after == pytest.approx(0.1)
 
+    def test_lone_frontend_query_reaches_the_refusing_shard_once(self):
+        client = _RouterFakeClient()
+        router = ShardedQueryRouter([client], cache_ttl=1.0)
+
+        async def scenario():
+            async with AsyncDistanceFrontend(router) as frontend:
+                with pytest.raises(OverloadedError):
+                    await frontend.query("x", "y")
+                return frontend.stats()
+
+        stats = run(scenario())
+        assert client.calls == ["point"]
+        assert stats.completed == stats.submitted == 1
+
 
 # ---------------------------------------------------------------------- #
 # ReplicaGroup: overload is a routing signal, not a death certificate
@@ -361,7 +432,7 @@ class _Replica:
         self.calls = []
         self.script = dict(script or {})
 
-    async def call(self, op, fields=None, arrays=None):
+    async def call(self, op, fields=None, arrays=None, deadline=None):
         self.calls.append(op)
         outcome = self.script.get(op)
         if isinstance(outcome, list):

@@ -41,7 +41,7 @@ class FakeClient:
         self.bound_registries = []
         self.script = dict(script or {})
 
-    async def call(self, op, fields=None, arrays=None):
+    async def call(self, op, fields=None, arrays=None, deadline=None):
         self.calls.append(op)
         outcome = self.script.get(op)
         if isinstance(outcome, list):
@@ -270,9 +270,9 @@ class RecordingClient(FakeClient):
         super().__init__(address, script)
         self.recorded = []
 
-    async def call(self, op, fields=None, arrays=None):
+    async def call(self, op, fields=None, arrays=None, deadline=None):
         self.recorded.append((op, dict(fields or {})))
-        return await super().call(op, fields, arrays)
+        return await super().call(op, fields, arrays, deadline=deadline)
 
 
 class TestCatchUpGating:

@@ -716,10 +716,10 @@ class TestFrontendOverRouter:
             def cache_put_many_if_current(self, *args):
                 return 0
 
-            async def point(self, source_id, destination_id):
+            async def point(self, source_id, destination_id, deadline=None):
                 await asyncio.sleep(30)
 
-            async def pairs(self, source_ids, destination_ids):
+            async def pairs(self, source_ids, destination_ids, deadline=None):
                 await asyncio.sleep(30)
 
             async def one_to_many(self, source_id, destination_ids):

@@ -22,7 +22,11 @@ Checks, over ``README.md`` and every ``docs/*.md``:
 5. axis names, axis values and preset names mentioned in
    ``docs/experiments.md`` match the live catalog
    (``repro.evaluation.ablation.AXES`` / ``PRESETS``), so the axis
-   documentation cannot drift from the code.
+   documentation cannot drift from the code;
+6. every backticked CamelCase name (``ShardServer``, ``Deadline()``)
+   outside fenced blocks is a builtin or is defined under
+   ``src/repro`` as a class, a function or a module-level name, so a
+   deleted class cannot linger in the docs.
 
 The checker is intentionally a plain script with a ``collect_errors``
 entry point: no test framework required, importable from the test
@@ -32,6 +36,8 @@ suite, exit code 1 on any finding.
 from __future__ import annotations
 
 import ast
+import builtins
+import functools
 import re
 import shlex
 import sys
@@ -230,6 +236,49 @@ def check_axis_catalog(path: Path, text: str) -> list[str]:
     return errors
 
 
+#: A backticked CamelCase name, optionally called: `ShardServer`, `Deadline()`.
+_CAMEL_NAME = re.compile(r"`([A-Z]\w*[a-z]\w*)(?:\(\))?`")
+
+
+@functools.cache
+def defined_names() -> frozenset[str]:
+    """Builtins plus every class, function and module-level name
+    defined under ``src/repro``."""
+    names = set(dir(builtins))
+    for module in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                names.add(node.name)
+        for node in tree.body:
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign)
+                else []
+            )
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return frozenset(names)
+
+
+def check_names(path: Path, text: str) -> list[str]:
+    """Every backticked CamelCase name must be defined in the package."""
+    fences = [match.span() for match in _FENCE.finditer(text)]
+    errors = []
+    for match in _CAMEL_NAME.finditer(text):
+        name = match.group(1)
+        if name in defined_names():
+            continue
+        if any(start <= match.start() < end for start, end in fences):
+            continue
+        errors.append(
+            f"{path.name}:{_line_of(text, match.start())}: `{name}` is not "
+            "defined under src/repro"
+        )
+    return errors
+
+
 def collect_errors() -> list[str]:
     """All findings across all documentation files."""
     errors = []
@@ -240,6 +289,7 @@ def collect_errors() -> list[str]:
         errors.extend(check_paths(path, text))
         errors.extend(check_json_blocks(path, text))
         errors.extend(check_axis_catalog(path, text))
+        errors.extend(check_names(path, text))
     return errors
 
 
