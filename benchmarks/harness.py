@@ -1,8 +1,9 @@
-"""Load generators shared by the serving benchmark gates.
+"""Load generators and references shared by the serving benchmark gates.
 
-Measurement code, not serving code: ``bench_frontend.py``,
-``bench_transport.py`` and ``bench_observability.py`` import it, and no
-module under ``src/`` does. Two harnesses:
+Measurement code, not serving code: ``bench_serving.py``,
+``bench_frontend.py``, ``bench_transport.py`` and
+``bench_observability.py`` import it, and no module under ``src/``
+does. Two harnesses and one reference:
 
 * **coalescing** — :func:`measure_concurrent_throughput` drives the
   micro-batching :class:`~repro.serving.AsyncDistanceFrontend` with
@@ -11,7 +12,11 @@ module under ``src/`` does. Two harnesses:
   baseline the frontend replaces);
 * **pipelining** — :func:`measure_pipelined_speedup` spawns one shard
   process and compares one client awaiting each RPC in turn against
-  the same client keeping ``depth`` RPCs in flight on its one socket.
+  the same client keeping ``depth`` RPCs in flight on its one socket;
+* **id-list k-NN** — :func:`id_list_nearest` is the gather-based full
+  scan that :meth:`~repro.serving.VectorStore.nearest` replaces: the
+  oracle of ``tests/serving/test_store.py`` and the baseline of the
+  full-scan gate in ``bench_serving.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.serving import (
     configure_tracing,
     spawn_shard_process,
 )
+from repro.serving.store import top_k_ascending
 
 # ---------------------------------------------------------------------- #
 # coalescing: the two dispatch strategies under identical traffic
@@ -349,3 +355,25 @@ def measure_pipelined_speedup(
         if instrument:
             configure_tracing(enabled=False)
         process.stop()
+
+
+# ---------------------------------------------------------------------- #
+# id-list k-NN: the reference for the store's in-place full scan
+# ---------------------------------------------------------------------- #
+
+
+def id_list_nearest(store, source_out, k, exclude=None):
+    """Full-scan k-NN over an id list: ``ids()``, drop ``exclude``,
+    ``gather`` the survivors' rows, one product, ``top_k_ascending``.
+
+    Returns the ``(ids, distances, scanned)`` triple of
+    :meth:`~repro.serving.VectorStore.nearest`. Ties rank in ``ids()``
+    order (insertion order), not store row order.
+    """
+    candidates = [host for host in store.ids() if host != exclude]
+    if not candidates:
+        return [], np.zeros(0), 0
+    _, incoming = store.gather(candidates, copy=False)
+    distances = incoming @ source_out
+    top = top_k_ascending(distances, k)
+    return [candidates[int(i)] for i in top], distances[top], len(candidates)

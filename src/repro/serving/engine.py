@@ -1,10 +1,12 @@
 """The query engine: batched distance predictions over a vector store.
 
-Every query shape — point, one-to-many, many-to-many, k-nearest —
-reduces to gathering the relevant rows of the ``X``/``Y`` matrices and
-one dense product ``X[rows] @ Y[cols].T`` (paper Eq. 4). There is
-deliberately no per-pair Python loop anywhere on the read path; that
-is the entire performance story of the serving layer, quantified by
+Every query shape — point, one-to-many, many-to-many — reduces to
+gathering the relevant rows of the ``X``/``Y`` matrices and one dense
+product ``X[rows] @ Y[cols].T`` (paper Eq. 4). A full-scan k-nearest
+query gathers nothing: the store scores its own rows in place
+(:meth:`VectorStore.nearest`). There is deliberately no per-pair
+Python loop anywhere on the read path; that is the entire performance
+story of the serving layer, quantified by
 ``benchmarks/bench_serving.py``.
 
 Thread-safety: the engine holds no query state of its own — reads are
@@ -25,23 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ValidationError
-from .store import VectorStore
+from .store import VectorStore, top_k_ascending
 
-__all__ = ["QueryEngine", "top_k_ascending"]
-
-
-def top_k_ascending(distances: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest distances, ascending, stable ties.
-
-    One ``argpartition`` plus a stable sort of the winners —
-    O(n + k log k), never a full sort. Shared by
-    :meth:`QueryEngine.k_nearest` and the shard server's ``nearest``
-    RPC so a single-process engine and a routed cluster rank
-    identically (the e2e tests compare them element-for-element).
-    """
-    k = min(int(k), distances.shape[0])
-    top = np.argpartition(distances, k - 1)[:k]
-    return top[np.argsort(distances[top], kind="stable")]
+__all__ = ["QueryEngine"]
 
 
 class QueryEngine:
@@ -178,27 +166,54 @@ class QueryEngine:
         Returns:
             ``[(host_id, predicted_distance), ...]`` sorted ascending.
 
-        Uses ``argpartition`` so the cost is one ``(n, d)`` gather, one
-        matrix-vector product and an O(n + k log k) selection — no full
-        sort of the candidate pool.
+        The source's outgoing vector goes to :meth:`nearest`, so the
+        cost is one matrix-vector product and an O(n + k log k)
+        selection, never a full sort; only an explicit candidate pool
+        adds a gather of the pool's rows.
+        """
+        source = self.store.get(source_id)
+        ids, distances = self.nearest(
+            source.outgoing,
+            k,
+            candidate_ids,
+            exclude=None if include_self else source_id,
+        )
+        return list(zip(ids, distances.tolist()))
+
+    def nearest(
+        self,
+        source_out: np.ndarray,
+        k: int,
+        candidate_ids: Sequence | None = None,
+        exclude: object = None,
+    ) -> tuple[list, np.ndarray]:
+        """``(ids, distances)`` of the ``k`` hosts nearest a source vector.
+
+        The vector form of :meth:`k_nearest`, also behind the shard
+        server's ``nearest`` RPC (the router ships the source vector).
+        Without ``candidate_ids`` the store scores its rows in place
+        (:meth:`VectorStore.nearest`) and equal distances come out in
+        store row order; a candidate pool is gathered as one ``(n, d)``
+        block and its ties follow pool order. ``exclude`` leaves one
+        host out of either scan. The counters record one query of as
+        many pairs as hosts were scored, and nothing when none was.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         if candidate_ids is None:
-            candidate_ids = self.store.ids()
-        candidates = list(candidate_ids)
-        if not include_self:
-            candidates = [c for c in candidates if c != source_id]
-        if not candidates:
-            return []
-
-        source = self.store.get(source_id)
-        _, incoming = self.store.gather(candidates, copy=self._copy)
-        distances = incoming @ source.outgoing
-        self._count(len(candidates))
-
-        top = top_k_ascending(distances, k)
-        return [(candidates[int(i)], float(distances[int(i)])) for i in top]
+            ids, distances, scanned = self.store.nearest(source_out, k, exclude)
+        else:
+            pool = [c for c in candidate_ids if c != exclude]
+            scanned = len(pool)
+            ids, distances = [], np.zeros(0)
+            if pool:
+                _, incoming = self.store.gather(pool, copy=self._copy)
+                scores = incoming @ source_out
+                top = top_k_ascending(scores, k)
+                ids, distances = [pool[int(i)] for i in top], scores[top]
+        if scanned:
+            self._count(scanned)
+        return ids, distances
 
     def count_served(self, pairs: int) -> None:
         """Record one query of ``pairs`` pairs answered outside the engine.

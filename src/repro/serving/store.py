@@ -4,13 +4,15 @@ A :class:`VectorStore` maps host identifiers to their ``(outgoing,
 incoming)`` model vectors with O(1) lookup, and — crucially for the
 query engine — gathers many hosts' vectors into dense ``(n, d)``
 matrices in one shot so that every query becomes a NumPy batch
-operation instead of a per-pair Python loop.
+operation instead of a per-pair Python loop. A full-scan k-nearest
+query gathers nothing: :meth:`VectorStore.nearest` scores the store's
+rows where they lie and maps only the winners back to identifiers.
 
 Two backends:
 
 * :class:`InMemoryVectorStore` keeps all vectors in two growable
-  arrays with a free-slot list, so registration, eviction and bulk
-  gather stay amortized O(1) per host.
+  arrays whose first ``n`` rows hold the ``n`` stored hosts, so
+  registration, eviction and bulk gather stay amortized O(1) per host.
 * :class:`ShardedVectorStore` hash-partitions identifiers across many
   in-memory shards — the single-process rehearsal of the scale-out
   directory the IDES paper sketches in Section 5.1.
@@ -39,7 +41,24 @@ __all__ = [
     "ShardedVectorStore",
     "shard_of",
     "group_by_shard",
+    "top_k_ascending",
 ]
+
+
+def top_k_ascending(distances: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest distances, ascending.
+
+    One ``argpartition`` plus a stable sort of the winners taken in
+    position order — O(n + k log k), never a full sort. Equal distances
+    among the winners come out in position order; when several
+    positions tie at the ``k``-th distance, which of them make the cut
+    is unspecified. Shared by :meth:`VectorStore.nearest` (positions
+    are store rows) and :meth:`~repro.serving.QueryEngine.nearest`'s
+    explicit candidate pool (positions follow the pool).
+    """
+    k = min(int(k), distances.shape[0])
+    top = np.sort(np.argpartition(distances, k - 1)[:k])
+    return top[np.argsort(distances[top], kind="stable")]
 
 
 def shard_of(host_id: object, n_shards: int) -> int:
@@ -115,6 +134,28 @@ class VectorStore(ABC):
         threads, must keep the default."""
 
     @abstractmethod
+    def nearest(
+        self, source_out: np.ndarray, k: int, exclude: object = None
+    ) -> tuple[list, np.ndarray, int]:
+        """Full-scan k-nearest: the ``k`` stored hosts whose predicted
+        distance ``incoming @ source_out`` is smallest.
+
+        Args:
+            source_out: the querying host's outgoing vector, ``(d,)``.
+            k: number of neighbours, >= 1.
+            exclude: a host id left out of the scan (the source
+                itself); an id the store does not hold excludes
+                nothing.
+
+        Returns:
+            ``(ids, distances, scanned)``: the winners ascending by
+            distance, and how many hosts were scored (every stored
+            host but ``exclude``). Equal distances come out in store
+            row order (shard by shard, in shard order, for a sharded
+            store).
+        """
+
+    @abstractmethod
     def export(self) -> tuple[list, np.ndarray, np.ndarray]:
         """``(ids, X, Y)`` for every stored host (bulk snapshot)."""
 
@@ -142,10 +183,13 @@ class VectorStore(ABC):
 class InMemoryVectorStore(VectorStore):
     """Array-backed store with O(1) lookup and vectorized gather.
 
-    Vectors live in two ``(capacity, d)`` arrays that double on demand;
-    a dict maps identifiers to rows and deleted rows go on a free list
-    for reuse, so long-running register/evict churn does not leak
-    capacity.
+    Vectors live in two ``(capacity, d)`` arrays that double on demand,
+    and a dict maps identifiers to rows. The ``n`` stored hosts always
+    hold rows ``0..n-1``: a new host takes row ``n``, and a delete moves
+    the last host's vectors into the freed row. Long-running
+    register/evict churn therefore does not leak capacity, and
+    :meth:`nearest` scores exactly the stored rows, never a free row's
+    stale or zero vectors.
 
     Args:
         dimension: model dimension ``d``.
@@ -158,8 +202,7 @@ class InMemoryVectorStore(VectorStore):
         self._outgoing = np.zeros((capacity, self._dimension))
         self._incoming = np.zeros((capacity, self._dimension))
         self._row_of: dict[object, int] = {}
-        self._id_of_row: dict[int, object] = {}
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
+        self._id_of_row: list = []
         self._lock = threading.RLock()
 
     @property
@@ -174,23 +217,21 @@ class InMemoryVectorStore(VectorStore):
         row = self._row_of.get(host_id)
         if row is not None:
             return row
-        if not self._free:
+        row = len(self._id_of_row)
+        if row == self._outgoing.shape[0]:
             self._grow()
-        row = self._free.pop()
         self._row_of[host_id] = row
-        self._id_of_row[row] = host_id
+        self._id_of_row.append(host_id)
         return row
 
     def _grow(self) -> None:
         old = self._outgoing.shape[0]
-        new = max(1, old * 2)
-        grown_out = np.zeros((new, self._dimension))
-        grown_in = np.zeros((new, self._dimension))
+        grown_out = np.zeros((old * 2, self._dimension))
+        grown_in = np.zeros((old * 2, self._dimension))
         grown_out[:old] = self._outgoing
         grown_in[:old] = self._incoming
         self._outgoing = grown_out
         self._incoming = grown_in
-        self._free.extend(range(new - 1, old - 1, -1))
 
     def put(self, host_id: object, vectors: HostVectors) -> None:
         self._check_vectors(vectors)
@@ -224,8 +265,13 @@ class InMemoryVectorStore(VectorStore):
             row = self._row_of.pop(host_id, None)
             if row is None:
                 return False
-            del self._id_of_row[row]
-            self._free.append(row)
+            last_id = self._id_of_row.pop()
+            last = len(self._id_of_row)
+            if row != last:
+                self._outgoing[row] = self._outgoing[last]
+                self._incoming[row] = self._incoming[last]
+                self._id_of_row[row] = last_id
+                self._row_of[last_id] = row
             return True
 
     # ------------------------------------------------------------------ #
@@ -270,6 +316,27 @@ class InMemoryVectorStore(VectorStore):
                 ):
                     return self._outgoing[start:stop], self._incoming[start:stop]
             return self._outgoing[rows], self._incoming[rows]
+
+    def nearest(
+        self, source_out: np.ndarray, k: int, exclude: object = None
+    ) -> tuple[list, np.ndarray, int]:
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
+        with self._lock:
+            stored = len(self._id_of_row)
+            excluded = None if exclude is None else self._row_of.get(exclude)
+            skip = int(excluded is not None)
+            if stored == skip:
+                return [], np.zeros(0), 0
+            # The stored rows are 0..n-1: one product over them, no
+            # gather. Ranking one row more than asked leaves k after the
+            # excluded row is dropped.
+            distances = self._incoming[:stored] @ source_out
+            top = top_k_ascending(distances, k + skip)
+            if skip:
+                top = top[top != excluded][:k]
+            winners = [self._id_of_row[int(row)] for row in top]
+            return winners, distances[top], stored - skip
 
     def export(self) -> tuple[list, np.ndarray, np.ndarray]:
         with self._lock:
@@ -371,6 +438,22 @@ class ShardedVectorStore(VectorStore):
             outgoing[positions] = shard_out
             incoming[positions] = shard_in
         return outgoing, incoming
+
+    def nearest(
+        self, source_out: np.ndarray, k: int, exclude: object = None
+    ) -> tuple[list, np.ndarray, int]:
+        # Each shard ranks its own rows; merging the per-shard lists with
+        # a stable sort in shard order is what the cross-process router
+        # does with its shards' ``nearest`` answers.
+        found = [shard.nearest(source_out, k, exclude) for shard in self.shards]
+        ids = [host for shard_ids, _, _ in found for host in shard_ids]
+        distances = np.concatenate([values for _, values, _ in found])
+        top = np.argsort(distances, kind="stable")[:k]
+        return (
+            [ids[int(i)] for i in top],
+            distances[top],
+            sum(scanned for _, _, scanned in found),
+        )
 
     def _group_by_shard(self, host_ids: Sequence) -> dict[int, np.ndarray]:
         return group_by_shard(host_ids, self.n_shards)

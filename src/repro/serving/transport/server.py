@@ -55,8 +55,6 @@ import queue
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..observability.httpd import TelemetryServer
 from ..observability.metrics import Sample, get_registry
 from ..observability.tracing import TraceContext, configure_tracing, get_tracer
@@ -69,7 +67,7 @@ from ...exceptions import (
     TransportError,
     ValidationError,
 )
-from ..engine import QueryEngine, top_k_ascending
+from ..engine import QueryEngine
 from ..journal import REPLAY_CHUNK, ShardJournal, store_digest
 from ..snapshot import load_snapshot
 from ..store import InMemoryVectorStore, shard_of
@@ -771,9 +769,9 @@ class ShardServer:
     def _op_nearest(self, message: Message) -> tuple[dict, dict]:
         """Local top-k among this shard's hosts; the router merges the
         per-shard candidate lists into the global answer."""
-        k = int(message.fields.get("k", 0))
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
+        k = message.fields.get("k")
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError(f"nearest needs an int field 'k' >= 1, got {k!r}")
         source_out = message.array("source_out")
         if source_out.shape != (self.store.dimension,):
             raise ValidationError(
@@ -781,23 +779,13 @@ class ShardServer:
                 f"got {source_out.shape}"
             )
         candidates = message.fields.get("candidates")
-        if candidates is None:
-            candidates = self.store.ids()
-        else:
-            candidates = _check_wire_ids(list(candidates))
+        if candidates is not None:
+            candidates = self._local_ids(message, "candidates")
         exclude = message.fields.get("exclude")
         if exclude is not None:
-            candidates = [c for c in candidates if c != exclude]
-        if not candidates:
-            return {"ids": []}, {"values": np.zeros(0)}
-        _, incoming = self.store.gather(candidates, copy=False)
-        distances = incoming @ source_out
-        self.engine.count_served(len(candidates))
-        top = top_k_ascending(distances, k)
-        return (
-            {"ids": [candidates[int(i)] for i in top]},
-            {"values": distances[top]},
-        )
+            exclude = self._scalar_id(message, "exclude")
+        ids, distances = self.engine.nearest(source_out, k, candidates, exclude)
+        return {"ids": ids}, {"values": distances}
 
     def _op_export(self, message: Message) -> tuple[dict, dict]:
         ids, outgoing, incoming = self.store.export()

@@ -138,3 +138,25 @@ class TestCheckerCatchesRot:
         assert errors == [
             "bad.md:2: `GhostBatchPolicy` is not defined under src/repro"
         ]
+
+    def test_flags_wire_field_no_handler_reads(self, tmp_path):
+        page = tmp_path / "wire-protocol.md"
+        real = (REPO_ROOT / "docs" / "wire-protocol.md").read_text(encoding="utf-8")
+        assert checker.check_wire_ops(page, real) == []
+        rotted = real.replace(
+            "| `journal_since` | `since`, optional `limit`",
+            "| `journal_since` | `seq`, optional `limit`",
+        )
+        rotted = "\n".join(
+            line for line in rotted.splitlines() if not line.startswith("| `digest`")
+        )
+        errors = checker.check_wire_ops(page, rotted)
+        assert len(errors) == 2
+        assert errors[0] == "wire-protocol.md: op table has no row for: digest"
+        assert errors[1].endswith(
+            "op `journal_since` documents request field `seq`, which its "
+            "handler never reads"
+        )
+        # value enumerations and other pages are not field lists
+        assert "`which` ∈ `out`/`in`/`both`" in real
+        assert checker.check_wire_ops(tmp_path / "other.md", rotted) == []

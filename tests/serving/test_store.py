@@ -1,11 +1,26 @@
 """Tests for the vector-store backends."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.ides import HostVectors
-from repro.serving import InMemoryVectorStore, ShardedVectorStore, shard_of
+from repro.serving import (
+    InMemoryVectorStore,
+    QueryEngine,
+    ShardedVectorStore,
+    shard_of,
+)
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+from harness import id_list_nearest  # noqa: E402
 
 
 def vectors_for(value: float, dimension: int = 3) -> HostVectors:
@@ -232,6 +247,57 @@ class TestThreadSafety:
         assert errors == []
         assert len(store) == 120
 
+    def test_nearest_racing_deletes_pairs_each_winner_with_its_vectors(self):
+        """A delete moves the last host into the freed row; a scan racing
+        the churn must still report every winner with its own distance."""
+        import threading
+
+        rng = np.random.default_rng(2)
+        ids = [f"h{i}" for i in range(100)]
+        incoming = rng.random((100, 3)) + 1.0
+        store = InMemoryVectorStore(dimension=3, initial_capacity=4)
+        store.put_many(ids, incoming, incoming)
+        source_out = np.ones(3)
+        expected = dict(zip(ids, (incoming @ source_out).tolist()))
+        extra = HostVectors(np.zeros(3), np.full(3, 0.25))  # distance 0.75
+        errors = []
+
+        def churn(offset):
+            try:
+                for i in range(1000):
+                    host = f"extra-{offset}-{i % 7}"
+                    store.put(host, extra)
+                    store.delete(host)
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(repr(error))
+
+        def scan():
+            try:
+                for _ in range(1000):
+                    winners, distances, _ = store.nearest(source_out, 10)
+                    for host, distance in zip(winners, distances.tolist()):
+                        if distance != expected.get(host, 0.75):
+                            errors.append((host, distance))
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(repr(error))
+
+        threads = [
+            threading.Thread(target=churn, args=(t,), daemon=True)
+            for t in range(3)
+        ] + [threading.Thread(target=scan, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 100
+
 
 class TestZeroCopyGather:
     def build(self, n=10, d=4):
@@ -301,3 +367,149 @@ class TestZeroCopyGather:
             plain.pairs(ids[:4], ids[4:8]), fast.pairs(ids[:4], ids[4:8])
         )
         assert plain.k_nearest(ids[0], 3) == fast.k_nearest(ids[0], 3)
+
+
+# ---------------------------------------------------------------------- #
+# full-scan k-nearest: the in-place scan against the id-list oracle
+# ---------------------------------------------------------------------- #
+
+SCAN_DIMENSION = 4
+
+
+def dyadic(rng, rows):
+    """Positive vectors of multiples of 1/64 below 16: every dot product
+    of two of them is exact in float64 whatever order BLAS sums it in,
+    so the in-place scan (one product over the store's rows) and the
+    oracle (one product over gathered rows) must agree bit for bit."""
+    return rng.integers(1, 1024, size=(rows, SCAN_DIMENSION)) / 64.0
+
+
+def put_hosts(store, rng, hosts):
+    store.put_many(list(hosts), dyadic(rng, len(hosts)), dyadic(rng, len(hosts)))
+
+
+def make_scan_store(kind, capacity=64):
+    if kind == "in_memory":
+        return InMemoryVectorStore(SCAN_DIMENSION, initial_capacity=capacity)
+    return ShardedVectorStore(SCAN_DIMENSION, n_shards=3, initial_capacity=capacity)
+
+
+def distinct_distances(store, source_out):
+    """Whether no two stored hosts tie: then the answer is unique."""
+    ids = store.ids()
+    if not ids:
+        return True
+    _, incoming = store.gather(ids)
+    return np.unique(incoming @ source_out).size == len(ids)
+
+
+def assert_matches_oracle(store, source_out, k, exclude):
+    """``nearest`` returns the oracle's ids, distances and count exactly."""
+    found_ids, found, scanned = store.nearest(source_out, k, exclude)
+    expected_ids, expected, expected_scanned = id_list_nearest(
+        store, source_out, k, exclude
+    )
+    assert found_ids == expected_ids
+    np.testing.assert_array_equal(found, expected)
+    assert scanned == expected_scanned
+
+
+class TestNearestScan:
+    """``VectorStore.nearest`` against the id-list scan it replaced
+    (``benchmarks/harness.py::id_list_nearest``)."""
+
+    @pytest.mark.parametrize("kind", ["in_memory", "sharded"])
+    @pytest.mark.parametrize(
+        "history", ["spare_capacity", "deletes", "re_puts", "empty"]
+    )
+    def test_matches_id_list_scan(self, kind, history):
+        """Spare capacity leaves never-used zero rows (distance 0, they
+        would rank first if scored); deletes leave stale vectors behind
+        the stored rows; re-puts refill freed rows. On the sharded store
+        an excluded host is absent from every shard but its own."""
+        rng = np.random.default_rng(5)
+        store = make_scan_store(kind)
+        if history != "empty":
+            put_hosts(store, rng, range(12 if history == "spare_capacity" else 40))
+        if history in ("deletes", "re_puts"):
+            for host in range(0, 40, 3):
+                store.delete(host)
+        if history == "re_puts":
+            put_hosts(store, rng, [3, 9, 27, 40, 41, 42])
+        source_out = dyadic(rng, 1)[0]
+        assert distinct_distances(store, source_out)
+        stored = store.ids()
+        middle = stored[len(stored) // 2] if stored else None
+        for exclude in (None, middle, "ghost"):
+            for k in (1, 5, len(stored), len(stored) + 3):
+                assert_matches_oracle(store, source_out, max(k, 1), exclude)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["in_memory", "sharded"]),
+        capacity=st.integers(1, 8),
+        history=st.lists(st.tuples(st.booleans(), st.integers(0, 15)), max_size=40),
+        k=st.integers(1, 20),
+        exclude=st.one_of(st.none(), st.integers(0, 19)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_histories_match_id_list_scan(
+        self, kind, capacity, history, k, exclude, seed
+    ):
+        rng = np.random.default_rng(seed)
+        store = make_scan_store(kind, capacity)
+        for is_put, host in history:
+            if is_put:
+                put_hosts(store, rng, [host])
+            else:
+                store.delete(host)
+        source_out = dyadic(rng, 1)[0]
+        assume(distinct_distances(store, source_out))
+        assert_matches_oracle(store, source_out, k, exclude)
+
+    def test_engine_full_scan_matches_id_list_scan(self):
+        """``include_self`` keeps the source in the pool; the default
+        excludes it. The counters see one query of every scored host."""
+        rng = np.random.default_rng(6)
+        store = make_scan_store("in_memory")
+        put_hosts(store, rng, range(30))
+        store.delete(4)
+        engine = QueryEngine(store)
+        source_out = store.get(11).outgoing
+        assert distinct_distances(store, source_out)
+        for include_self in (False, True):
+            engine.reset_counters()
+            expected_ids, expected, scanned = id_list_nearest(
+                store, source_out, 8, exclude=None if include_self else 11
+            )
+            assert engine.k_nearest(11, 8, include_self=include_self) == list(
+                zip(expected_ids, expected.tolist())
+            )
+            assert (engine.queries_served, engine.pairs_evaluated) == (1, scanned)
+        assert scanned == 29
+
+    def test_ties_come_out_in_store_row_order(self):
+        """A new host takes the next row and a delete moves the last
+        host into the freed row; a sharded store lists its shards in
+        shard order."""
+        store = InMemoryVectorStore(SCAN_DIMENSION)
+        source_out = np.ones(SCAN_DIMENSION)
+        for host in "abcde":
+            store.put(host, HostVectors(source_out, source_out))
+        assert store.nearest(source_out, 5)[0] == list("abcde")
+        store.delete("b")
+        assert store.nearest(source_out, 5)[0] == list("aecd")
+
+        sharded = ShardedVectorStore(SCAN_DIMENSION, n_shards=3)
+        hosts = [f"h{i}" for i in range(12)]
+        sharded.put_many(
+            hosts, np.ones((12, SCAN_DIMENSION)), np.ones((12, SCAN_DIMENSION))
+        )
+        assert sharded.nearest(source_out, 12)[0] == sorted(
+            hosts, key=lambda host: shard_of(host, 3)
+        )
+
+    def test_k_must_be_positive(self):
+        store = make_scan_store("in_memory")
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            store.nearest(np.ones(SCAN_DIMENSION), 0)

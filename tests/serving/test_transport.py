@@ -351,6 +351,46 @@ class TestShardServerRpc:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"k": "abc"},
+            {"k": 2.9},
+            {"k": 2, "candidates": "ab"},
+            {"k": 2, "candidates": 5},
+            {"k": 2, "exclude": [1]},
+        ],
+        ids=["k-str", "k-float", "candidates-str", "candidates-int", "exclude-list"],
+    )
+    def test_nearest_rejects_malformed_fields(self, fields):
+        """Each malformed field is a ValidationError frame naming it; the
+        connection keeps serving."""
+        field = list(fields)[-1]
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(*server.address)
+                source = {"source_out": np.ones(DIMENSION)}
+                try:
+                    await client.call(
+                        "put_many",
+                        {"ids": ["a", "b"]},
+                        {
+                            "outgoing": np.ones((2, DIMENSION)),
+                            "incoming": np.ones((2, DIMENSION)),
+                        },
+                    )
+                    with pytest.raises(ValidationError, match=repr(field)):
+                        await client.call("nearest", fields, source)
+                    response = await client.call("nearest", {"k": 2}, source)
+                    assert response.fields["ids"] == ["a", "b"]
+                finally:
+                    await client.close()
+
+        run(scenario())
+
     def test_unknown_operation_is_an_error_frame(self):
         async def scenario():
             async with ShardServer(

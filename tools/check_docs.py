@@ -26,7 +26,12 @@ Checks, over ``README.md`` and every ``docs/*.md``:
 6. every backticked CamelCase name (``ShardServer``, ``Deadline()``)
    outside fenced blocks is a builtin or is defined under
    ``src/repro`` as a class, a function or a module-level name, so a
-   deleted class cannot linger in the docs.
+   deleted class cannot linger in the docs;
+7. ``docs/wire-protocol.md``'s op table has a row for every op in
+   ``ShardServer._HANDLERS``, and every backticked request field in a
+   row is one that op's handler reads: a string constant passed to
+   ``fields.get``, ``_local_ids``, ``_scalar_id`` or ``array``, in the
+   handler or in a ``ShardServer`` method it calls.
 
 The checker is intentionally a plain script with a ``collect_errors``
 entry point: no test framework required, importable from the test
@@ -174,9 +179,9 @@ def check_json_blocks(path: Path, text: str) -> list[str]:
     return errors
 
 
-#: Table rows of docs/experiments.md's axis catalog:
-#: | `name` | values... | description |
-_AXIS_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|([^|]*)\|", re.MULTILINE)
+#: Table rows keyed by a backticked name, with their second cell:
+#: | `name` | values... | description | (the axis catalog, the op table)
+_TABLE_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|([^|]*)\|", re.MULTILINE)
 #: Backticked tokens inside one table cell.
 _CELL_TOKENS = re.compile(r"`([^`]+)`")
 
@@ -194,7 +199,7 @@ def check_axis_catalog(path: Path, text: str) -> list[str]:
 
     errors = []
     documented: dict[str, list[str]] = {}
-    for row in _AXIS_ROW.finditer(text):
+    for row in _TABLE_ROW.finditer(text):
         name, values_cell = row.group(1), row.group(2)
         if name not in AXES:
             # Table rows for other tables (e.g. report fields) also
@@ -279,6 +284,102 @@ def check_names(path: Path, text: str) -> list[str]:
     return errors
 
 
+#: The module whose ShardServer answers the ops of docs/wire-protocol.md.
+SERVER_MODULE = REPO_ROOT / "src" / "repro" / "serving" / "transport" / "server.py"
+#: Calls through which a handler reads a request field.
+_FIELD_READERS = ("get", "_local_ids", "_scalar_id", "array")
+#: An enumeration of allowed values, such as "`which` ∈ `out`/`in`":
+#: values, not field names.
+_VALUE_LIST = re.compile(r"∈\s*`[^`]*`(?:\s*/\s*`[^`]*`)*")
+
+
+@functools.cache
+def handler_fields() -> dict[str, frozenset[str]]:
+    """The request fields each ``ShardServer._HANDLERS`` op reads."""
+    tree = ast.parse(SERVER_MODULE.read_text(encoding="utf-8"))
+    server = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ShardServer"
+    )
+    methods = {
+        node.name: node for node in server.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    handlers = next(
+        node.value for node in server.body
+        if isinstance(node, ast.Assign)
+        and any(
+            isinstance(target, ast.Name) and target.id == "_HANDLERS"
+            for target in node.targets
+        )
+    )
+
+    def strings(nodes) -> set[str]:
+        return {
+            node.value for node in nodes
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+
+    def reads(name: str, seen: set[str]) -> set[str]:
+        seen.add(name)
+        found: set[str] = set()
+        for node in ast.walk(methods[name]):
+            if not (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            ):
+                continue
+            called, owner = node.func.attr, node.func.value
+            if called == "get":
+                # message.fields.get(key, default): only the key counts
+                if isinstance(owner, ast.Attribute) and owner.attr == "fields":
+                    found |= strings(node.args[:1])
+                continue
+            if called in _FIELD_READERS:
+                keys = strings(node.args)
+                if not keys and called in methods:
+                    # `_local_ids(message)` reads its default key, "ids"
+                    keys = strings(methods[called].args.defaults)
+                found |= keys
+            if (
+                isinstance(owner, ast.Name) and owner.id == "self"
+                and called in methods and called not in seen
+            ):
+                found |= reads(called, seen)
+        return found
+
+    return {
+        op.value: frozenset(reads(handler.id, set()))
+        for op, handler in zip(handlers.keys, handlers.values)
+    }
+
+
+def check_wire_ops(path: Path, text: str) -> list[str]:
+    """docs/wire-protocol.md's op table must match the server's handlers."""
+    if path.name != "wire-protocol.md":
+        return []
+    fields_by_op = handler_fields()
+    rows = {
+        row.group(1): row for row in _TABLE_ROW.finditer(text)
+        if row.group(1) in fields_by_op
+    }
+    errors = []
+    missing = sorted(set(fields_by_op) - set(rows))
+    if missing:
+        errors.append(
+            f"{path.name}: op table has no row for: {', '.join(missing)}"
+        )
+    for op, row in rows.items():
+        request = _VALUE_LIST.sub("", row.group(2))
+        for field in re.findall(r"`(\w+)`", request):
+            if field not in fields_by_op[op]:
+                errors.append(
+                    f"{path.name}:{_line_of(text, row.start())}: op `{op}` "
+                    f"documents request field `{field}`, which its handler "
+                    "never reads"
+                )
+    return errors
+
+
 def collect_errors() -> list[str]:
     """All findings across all documentation files."""
     errors = []
@@ -290,6 +391,7 @@ def collect_errors() -> list[str]:
         errors.extend(check_json_blocks(path, text))
         errors.extend(check_axis_catalog(path, text))
         errors.extend(check_names(path, text))
+        errors.extend(check_wire_ops(path, text))
     return errors
 
 
