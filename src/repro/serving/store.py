@@ -127,11 +127,11 @@ class VectorStore(ABC):
         in request order.
 
         ``copy=False`` permits (but does not require) the result to be
-        a *view* of the store's backing arrays — the zero-copy fast
-        path for readers that consume the rows before the store can be
-        mutated again (the shard server's socket path). Callers that
-        hold results across writes, or share the store with writer
-        threads, must keep the default."""
+        a *view* of the store's backing arrays — the fast path for
+        readers that consume the rows before the store can be mutated
+        again (the shard server copies them into its response frame).
+        Callers that hold results across writes, or share the store
+        with writer threads, must keep the default."""
 
     @abstractmethod
     def nearest(

@@ -11,16 +11,16 @@ on its own machine):
 
 * :mod:`~repro.serving.transport.protocol` — the length-prefixed
   binary wire format: a fixed 16-byte prelude (carrying a request
-  id), a JSON header, and raw C-order ndarray payloads,
-  encoded as scatter-written views and decoded as views over the
-  receive buffer — zero payload copies either way (spec:
-  ``docs/wire-protocol.md``);
+  id), a JSON header, and raw C-order ndarray payloads, each copied
+  once into the frame on encode and decoded as a read-only view over
+  the receive buffer (spec: ``docs/wire-protocol.md``);
 * :mod:`~repro.serving.transport.server` — :class:`ShardServer`, an
   asyncio process owning one vector-store shard plus a local
   :class:`~repro.serving.engine.QueryEngine`, serving point / pairs /
   one-to-many / k-nearest / gather / update RPCs — requests
   pipeline and answer out of order, each isolated to its own request
-  id;
+  id, and each connection sends its responses one at a time, so a
+  peer that stops reading stalls only itself;
 * :mod:`~repro.serving.transport.client` — :class:`RemoteShardClient`,
   a per-shard pool of pipelined connections (many in-flight RPCs per
   socket, matched by request id) with call
@@ -64,7 +64,6 @@ from .protocol import (
     Message,
     decode_frame,
     encode_frame,
-    encode_frame_parts,
     read_message,
     write_message,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "connect_router",
     "decode_frame",
     "encode_frame",
-    "encode_frame_parts",
     "read_message",
     "run_shard_server",
     "spawn_shard_process",

@@ -304,10 +304,10 @@ class _ShardConnection:
                     sent = True
                 except asyncio.CancelledError:
                     # Inside write_message the first await comes after
-                    # the last (synchronous) transport write, so a
+                    # the (synchronous) transport write, so a
                     # cancellation landing here — e.g. the caller's
-                    # timeout expiring during the backpressure flush —
-                    # finds the frame fully queued: the stream stays
+                    # timeout expiring during the drain — finds the
+                    # frame fully queued: the stream stays
                     # well-framed and the socket stays healthy for the
                     # other pipelined calls. The quarantine below
                     # handles the eventual response.

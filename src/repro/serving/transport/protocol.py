@@ -30,23 +30,18 @@ the socket as exactly its C-order bytes — while staying introspectable
 with nothing but ``struct`` and ``json`` (no third-party codec to
 install on either end).
 
-Zero-copy discipline (both directions):
+Copies:
 
 * **decode** — payloads are ``np.frombuffer`` *views* over the
   received body buffer, never copies. Decoded arrays are therefore
   read-only; a consumer that needs to mutate one calls
   :meth:`Message.writable` (the only place a copy happens, and only
   on demand).
-* **encode** — :func:`encode_frame_parts` returns the prelude+header
-  bytes plus one ``memoryview`` per contiguous payload, so
-  :func:`write_message` hands the socket views of the source arrays
-  instead of building ``tobytes()`` intermediates and joining them.
-  Because a backpressured transport retains unsent buffers *by
-  reference*, :func:`write_message` only returns once the transport
-  has fully flushed the payload views — callers may reuse or mutate
-  the source arrays the moment it returns, and never earlier.
-  :func:`encode_frame` (the joined single-buffer form) remains for
-  tests and for callers that want one blob.
+* **encode** — :func:`encode_frame` copies each payload once, into
+  the single ``bytes`` frame it returns, before :func:`write_message`
+  first awaits. The frame owns its bytes, so callers may mutate the
+  source arrays the moment encoding returns, even while the frame
+  still waits in a backpressured transport.
 
 Every decode guard raises :class:`~repro.exceptions.ProtocolError`:
 wrong magic, unknown version, non-zero reserved bits, frames above
@@ -78,7 +73,6 @@ __all__ = [
     "Deadline",
     "Message",
     "encode_frame",
-    "encode_frame_parts",
     "decode_frame",
     "read_message",
     "write_message",
@@ -224,30 +218,22 @@ def _wire_dtype(array: np.ndarray) -> str:
     )
 
 
-def encode_frame_parts(
+def encode_frame(
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
     request_id: int = 0,
-) -> list:
-    """Serialize one message into scatter-write buffers.
+) -> bytes:
+    """Serialize one message into a single complete frame buffer.
 
-    Returns a list whose first element is the prelude+header bytes and
-    whose remaining elements are one byte-cast ``memoryview`` per
-    payload — views of the source arrays, not copies. The caller
-    (usually :func:`write_message`) hands each buffer to the transport
-    in order. ``transport.write()`` consumes a buffer synchronously
-    only when the socket accepts it immediately; under backpressure
-    the unsent tail is retained *by reference*, so a caller writing
-    these views itself must wait for a fully flushed transport buffer
-    (as :func:`write_message` does) before reusing the source arrays.
+    Each payload's bytes are copied exactly once, into the returned
+    frame, so the frame never aliases the source arrays.
 
     Args:
         fields: JSON-representable scalar fields. Must not contain the
             reserved key ``"arrays"``.
-        arrays: named ndarray payloads; float64/int64 pass through
-            zero-copy when already C-contiguous, everything else is
-            converted (the only encode copy, and only for non-wire
-            inputs).
+        arrays: named ndarray payloads; C-contiguous float64/int64
+            inputs are copied straight into the frame, anything else
+            is converted first (non-wire dtypes to float64).
         request_id: the 16-bit pipelining id.
     """
     if "arrays" in fields:
@@ -293,22 +279,8 @@ def encode_frame_parts(
     prelude = PRELUDE.pack(
         MAGIC, PROTOCOL_VERSION, 0, int(request_id), len(header), body_length
     )
-    return [prelude + header, *views]
-
-
-def encode_frame(
-    fields: dict,
-    arrays: dict[str, np.ndarray] | None = None,
-    request_id: int = 0,
-) -> bytes:
-    """Serialize one message into a single complete frame buffer.
-
-    The joined form of :func:`encode_frame_parts`, used by tests; the
-    hot path scatter-writes the parts instead.
-    """
-    return b"".join(
-        bytes(part) for part in encode_frame_parts(fields, arrays, request_id)
-    )
+    # The join is the one copy of each payload.
+    return b"".join((prelude, header, *views))
 
 
 def _decode_prelude(prelude: bytes) -> tuple[int, int, int]:
@@ -440,118 +412,19 @@ async def read_message(reader: asyncio.StreamReader) -> Message | None:
     return _decode_payload(header_bytes, body, request_id)
 
 
-async def _bounded_flush(
-    writer: asyncio.StreamWriter, flush_timeout: float | None = None
-) -> None:
-    """Wait until the transport buffer holds none of our payload views.
-
-    ``transport.write()`` is only *sometimes* synchronous: when the
-    socket cannot take every byte immediately, the asyncio transport
-    retains the unsent tail **by reference** (on Python 3.12+ the
-    selector transport keeps the very memoryviews it was handed in its
-    write deque), and ``drain()`` resolves at the low-water mark, not
-    at empty. Returning then would break the zero-copy contract — the
-    caller (e.g. a shard server holding its write lock) is entitled to
-    let the source arrays mutate the moment :func:`write_message`
-    returns. Dropping the high-water mark to zero turns ``drain()``
-    into a wait-for-empty-buffer; the limits are restored afterwards.
-
-    ``flush_timeout`` bounds the wait, and it is a **stall** bound, not
-    a transfer bound: the clock resets whenever the buffer shrinks, so
-    a slow-but-steadily-reading peer is never aborted no matter how
-    large the frame. A peer that makes no progress for ``flush_timeout``
-    seconds gets its connection **aborted** (not closed — a close would
-    keep flushing the aliased buffers in the background) and the caller
-    sees :class:`ConnectionResetError`. Servers pass this so a stalled
-    peer cannot hold a shared write lock forever; clients rely on their
-    per-call timeout instead.
-
-    Despite the zero-copy motivation, the bound applies to *every*
-    frame a server writes — header-only frames included (an error
-    frame carries no payload views, but an unbounded ``drain()`` on it
-    would pin the server-wide lock all the same).
-    """
-    transport = writer.transport
-    if transport is None:
-        await writer.drain()
-        return
-    try:
-        if transport.get_write_buffer_size() == 0:
-            # Fully consumed synchronously; the plain drain keeps the
-            # lost-connection error semantics of the legacy path.
-            await writer.drain()
-            return
-        low, high = transport.get_write_buffer_limits()
-    except (AttributeError, NotImplementedError):  # pragma: no cover
-        # A transport without buffer introspection: an ordinary drain
-        # is all that can be done.
-        await writer.drain()
-        return
-    loop = asyncio.get_running_loop()
-    deadline = None if flush_timeout is None else loop.time() + flush_timeout
-    last_size = transport.get_write_buffer_size()
-    transport.set_write_buffer_limits(high=0)
-    try:
-        while (size := transport.get_write_buffer_size()) > 0:
-            if transport.is_closing():
-                raise ConnectionResetError(
-                    "connection closed with a partially written frame"
-                )
-            if deadline is None:
-                await writer.drain()
-                continue
-            if size < last_size:
-                # The peer is reading: progress resets the stall clock
-                # (flush_timeout bounds stalls, not transfer time).
-                last_size = size
-                deadline = loop.time() + flush_timeout
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                transport.abort()  # clears the buffer: capture size first
-                raise ConnectionResetError(
-                    f"peer made no progress for {flush_timeout}s with "
-                    f"{size} bytes unsent; connection aborted"
-                )
-            try:
-                await asyncio.wait_for(writer.drain(), remaining)
-            except asyncio.TimeoutError:
-                continue  # re-check progress; the deadline check aborts
-    finally:
-        try:
-            transport.set_write_buffer_limits(high=high, low=low)
-        except (AttributeError, RuntimeError):  # pragma: no cover
-            pass  # the transport was just aborted
-
-
 async def write_message(
     writer: asyncio.StreamWriter,
     fields: dict,
     arrays: dict[str, np.ndarray] | None = None,
     request_id: int = 0,
-    flush_timeout: float | None = None,
 ) -> None:
-    """Encode and send one frame, flushing the transport buffer.
+    """Encode one frame, hand it to the transport, then drain.
 
-    The payload views are handed to the transport one by one — no
-    joined intermediate frame is ever built — and the coroutine
-    returns only once the transport has fully flushed them (see
-    :func:`_bounded_flush`), so the source arrays are free to be
-    reused or mutated on return. ``flush_timeout`` bounds every wait —
-    payload and header-only frames alike — by aborting the connection
-    of a peer that stops reading; without it, only frames with payload
-    views wait for a full flush (clients bound the wait with their
-    per-call timeout instead).
+    The frame is encoded (every payload copied, see
+    :func:`encode_frame`) and written before the first await, so a
+    caller may mutate the source arrays while ``drain()`` waits out
+    the peer's backpressure, and a cancellation during that wait
+    finds the frame wholly queued.
     """
-    parts = encode_frame_parts(fields, arrays, request_id)
-    for part in parts:
-        writer.write(part)
-    if len(parts) > 1 or flush_timeout is not None:
-        # The bounded flush subsumes drain(): an ordinary drain would
-        # block unboundedly at the low-water mark under backpressure —
-        # unacceptable both while payload views alias caller arrays
-        # and while a server-side caller holds the shard-wide write
-        # lock (any frame with flush_timeout set, header-only error
-        # frames included).
-        await _bounded_flush(writer, flush_timeout)
-    else:
-        await writer.drain()
+    writer.write(encode_frame(fields, arrays, request_id))
+    await writer.drain()

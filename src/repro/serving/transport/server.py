@@ -10,27 +10,20 @@ vocabulary of ``docs/wire-protocol.md`` over length-prefixed frames.
 Every frame carries a request id, and the connection loop spawns one
 task per request: requests **pipeline** (their ``work_delay``/service
 time overlaps) and responses may return out of order, each echoing
-its request id. Frame writes are serialized (one frame's buffers
-always hit the transport contiguously) by one server-wide lock shared
-across connections, which doubles as the store mutation barrier
-described below — and per-request isolation holds: a failing handler
+its request id. Per-request isolation holds: a failing handler
 produces an error frame for its own request id and nothing else. Only
 the server's own event loop writes its store, and handler bodies run
 synchronously between awaits on that loop, so per-request store
 mutations are atomic without extra locking.
 
-Zero-copy read path: the vector-carrying handlers gather row *views*
-out of the store (``InMemoryVectorStore.gather(copy=False)``) and the
-codec scatter-writes those views straight to the transport — no
-intermediate stacking or ``tobytes()`` on the hot path. Three
-disciplines make this safe: only the server's own event loop writes
-its store; ``write_message`` returns only after the transport has
-*fully flushed* the payload views (under backpressure a transport
-retains unsent buffers by reference, and ``drain()`` alone resolves at
-the low-water mark); and every handler+write runs under one
-**server-wide** write lock, so no handler on any connection can
-mutate store rows while another connection's frame still aliases
-them.
+Each connection sends one response at a time: a per-connection lock
+covers the handler, the frame write and the drain. The vector-carrying
+handlers gather row *views* out of the store
+(``InMemoryVectorStore.gather(copy=False)``), and the codec copies
+them into the frame before the first await, so no response aliases
+store rows once it is queued. A peer that stops reading therefore
+holds at most one response beyond the transport's high-water mark and
+stalls only its own connection.
 
 Error discipline: a request that fails validation gets an error frame
 naming the exception type and message, and the connection stays up; a
@@ -95,8 +88,7 @@ def _check_wire_ids(host_ids: list) -> list:
 class ShardServer:
     """Asyncio server for one shard of the distance directory.
 
-    Only the server's own event loop writes its store: response frames
-    carry views of store rows until they are flushed.
+    Only the server's own event loop writes its store.
 
     Args:
         dimension: model dimension ``d`` (ignored when ``store`` is
@@ -125,12 +117,6 @@ class ShardServer:
             saturated shard sheds excess load explicitly rather than
             letting every caller wait out its timeout. None (the
             default) keeps the legacy queue-everything behaviour.
-        flush_timeout: seconds a response write may wait for a
-            backpressured peer to drain before the connection is
-            aborted. Bounds how long the write lock (shared across
-            connections) can be held by one stalled peer, so a
-            client that stops reading cannot freeze the shard; None
-            waits forever.
         journal: a prebuilt :class:`~repro.serving.journal.ShardJournal`
             to record mutations into. When the journal carries entries
             loaded from its on-disk segments, they are replayed into
@@ -151,7 +137,6 @@ class ShardServer:
         work_delay: float = 0.0,
         max_pipeline: int = 256,
         max_inflight: int | None = None,
-        flush_timeout: float | None = 2.0,
         journal: ShardJournal | None = None,
         journal_capacity: int = 4096,
     ):
@@ -173,15 +158,8 @@ class ShardServer:
             raise ValidationError(
                 f"max_inflight must be >= 1 or None, got {max_inflight}"
             )
-        if flush_timeout is not None and not flush_timeout > 0:
-            raise ValidationError(
-                f"flush_timeout must be > 0 or None, got {flush_timeout}"
-            )
         self.max_pipeline = int(max_pipeline)
         self.max_inflight = None if max_inflight is None else int(max_inflight)
-        self.flush_timeout = (
-            None if flush_timeout is None else float(flush_timeout)
-        )
         self.store = store
         self.journal = (
             journal
@@ -202,7 +180,6 @@ class ShardServer:
         self._port = int(port)
         self._server: asyncio.base_events.Server | None = None
         self._stopped: asyncio.Event | None = None
-        self._write_lock: asyncio.Lock | None = None
         self.connections_rejected = 0
         self.pipelined_requests = 0
         #: Admitted requests currently queued or in flight, server-wide.
@@ -242,18 +219,6 @@ class ShardServer:
         if self._server is not None:
             return self.address
         self._stopped = asyncio.Event()
-        # Response frames hold *views* of store rows until fully
-        # flushed, so one lock must serialize every handler+write+flush
-        # across ALL connections (it also keeps each frame contiguous
-        # on the transport) — otherwise a mutating handler on
-        # connection B could rewrite rows that connection A's
-        # backpressured frame still aliases. Handlers are synchronous
-        # and writes normally flush instantly, so the shared lock costs
-        # nothing until a peer actually backpressures (then its flush
-        # briefly stalls other connections' responses — the price of
-        # zero-copy, bounded by flush_timeout, which aborts a peer that
-        # stops reading mid-flush).
-        self._write_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -395,9 +360,13 @@ class ShardServer:
         # One task set so a dying connection cancels its outstanding
         # work; one semaphore bounds outstanding pipelined requests —
         # when a client writes faster than it reads answers, the read
-        # loop stalls here and TCP backpressure does the rest.
+        # loop stalls here and TCP backpressure does the rest. One lock
+        # sends this connection's responses one at a time, so a peer
+        # that stops reading queues at most one response in its
+        # transport, and stalls nobody else.
         tasks: set[asyncio.Task] = set()
         in_flight = asyncio.Semaphore(self.max_pipeline)
+        lock = asyncio.Lock()
         try:
             while True:
                 try:
@@ -407,7 +376,7 @@ class ShardServer:
                     # hang up. The listener and every other connection
                     # keep serving.
                     self.connections_rejected += 1
-                    await self._try_error(writer, broken)
+                    await self._try_error(writer, lock, broken)
                     return
                 if request is None:  # clean EOF
                     return
@@ -423,6 +392,7 @@ class ShardServer:
                     self.overload_rejections += 1
                     await self._try_error(
                         writer,
+                        lock,
                         OverloadedError(
                             f"shard {self.shard_index} is saturated "
                             f"({self.inflight_requests} requests in "
@@ -439,7 +409,7 @@ class ShardServer:
                 self.pipelined_requests += 1
                 self.inflight_requests += 1
                 task = asyncio.create_task(
-                    self._answer_pipelined(writer, request, in_flight)
+                    self._answer_pipelined(writer, lock, request, in_flight)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -472,6 +442,7 @@ class ShardServer:
     async def _try_error(
         self,
         writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
         error: Exception,
         request: Message | None = None,
         extra_fields: dict | None = None,
@@ -479,7 +450,7 @@ class ShardServer:
         # A frame that never decoded has no request id to echo: id 0.
         request_id = request.request_id if request is not None else 0
         try:
-            async with self._write_lock:
+            async with lock:
                 await write_message(
                     writer,
                     {
@@ -489,7 +460,6 @@ class ShardServer:
                         **(extra_fields or {}),
                     },
                     request_id=request_id,
-                    flush_timeout=self.flush_timeout,
                 )
         except (ConnectionError, OSError):  # pragma: no cover - peer is gone
             pass
@@ -497,6 +467,7 @@ class ShardServer:
     async def _answer_pipelined(
         self,
         writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
         request: Message,
         in_flight: asyncio.Semaphore,
     ) -> None:
@@ -504,7 +475,7 @@ class ShardServer:
         The peer hanging up mid-answer is normal connection churn,
         never an unretrieved task exception."""
         try:
-            await self._answer(writer, request)
+            await self._answer(writer, lock, request)
         except (ConnectionError, OSError):
             pass
         finally:
@@ -512,7 +483,7 @@ class ShardServer:
             in_flight.release()
 
     async def _answer(
-        self, writer: asyncio.StreamWriter, request: Message
+        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, request: Message
     ) -> None:
         """Handle one request inside its telemetry envelope.
 
@@ -524,7 +495,7 @@ class ShardServer:
         """
         tracer = get_tracer()
         if not tracer.enabled and self._request_seconds is None:
-            await self._answer_inner(writer, request)
+            await self._answer_inner(writer, lock, request)
             return
         op = str(request.op)
         name = self._server_span_names.get(op)
@@ -538,7 +509,7 @@ class ShardServer:
             attributes=self._span_attributes,
         ):
             try:
-                await self._answer_inner(writer, request)
+                await self._answer_inner(writer, lock, request)
             finally:
                 if self._request_seconds is not None:
                     children = self._op_instruments.get(op)
@@ -551,22 +522,20 @@ class ShardServer:
                     children[1].inc()
 
     async def _answer_inner(
-        self, writer: asyncio.StreamWriter, request: Message
+        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, request: Message
     ) -> None:
         """Handle one request.
 
         Per-request isolation: any failure becomes an error frame for
         *this* request id; concurrent pipelined requests never see it.
 
-        The handler body and the response write happen under the
-        server-wide write lock, so any store views the handler returns
-        (the zero-copy gather path) are fully
-        flushed to the socket — ``write_message`` waits out transport
-        backpressure rather than trusting ``drain()``'s low-water
-        mark — before the lock is released and another task *on any
-        connection* — say a ``put_many`` refresh — can run and mutate
-        the rows they alias. Handlers are synchronous, so holding the
-        lock across them costs nothing in concurrency.
+        The handler, the response write and its drain run under the
+        connection's lock. The handler may return store views (the
+        ``gather(copy=False)`` path); ``write_message`` copies them
+        into the frame before its first await, so no other task, on
+        any connection, can mutate those rows first. Holding the lock
+        across the drain keeps a peer that stops reading to one queued
+        response.
         """
         deadline = Deadline.from_fields(request.fields)
         if deadline is not None and self._deadline_remaining is not None:
@@ -574,13 +543,13 @@ class ShardServer:
         if self.work_delay:
             await asyncio.sleep(self.work_delay)
         handler = self._HANDLERS.get(request.op)
-        async with self._write_lock:
+        async with lock:
             try:
                 # Shed, don't serve: a request whose propagated budget
                 # ran out while it waited (pipeline queue, work_delay,
-                # the write lock) has no caller left to care — doing
-                # the work now would only delay the requests that still
-                # have one. The error frame is cheap and explicit.
+                # the connection's lock) has no caller left to care —
+                # doing the work now would only delay the requests that
+                # still have one. The error frame is cheap and explicit.
                 if deadline is not None and deadline.expired():
                     self.deadline_shed += 1
                     raise DeadlineExceededError(
@@ -611,7 +580,6 @@ class ShardServer:
                 {"ok": True, **fields},
                 arrays,
                 request_id=request.request_id,
-                flush_timeout=self.flush_timeout,
             )
         if request.op == "shutdown":
             asyncio.get_running_loop().call_soon(
@@ -623,14 +591,13 @@ class ShardServer:
     async def _write_error_locked(
         self, writer: asyncio.StreamWriter, error: Exception, request: Message
     ) -> None:
-        """Send an error frame for one request (write lock held)."""
+        """Send an error frame for one request (connection lock held)."""
         if self._errors_total is not None:
             self._errors_total.labels(op=str(request.op)).inc()
         await write_message(
             writer,
             {"ok": False, "error": type(error).__name__, "message": str(error)},
             request_id=request.request_id,
-            flush_timeout=self.flush_timeout,
         )
 
     # ------------------------------------------------------------------ #
@@ -665,6 +632,7 @@ class ShardServer:
 
     def _op_put_many(self, message: Message) -> tuple[dict, dict]:
         ids = self._local_ids(message)
+        stamp = self._replay_stamp(message)
         outgoing = message.array("outgoing")
         incoming = message.array("incoming")
         misrouted = [
@@ -676,11 +644,12 @@ class ShardServer:
                 f"{self.shard_index}/{self.n_shards}"
             )
         self.store.put_many(ids, outgoing, incoming)
-        seq = self._journal_append(message, "put_many", ids, outgoing, incoming)
+        seq = self.journal.append("put_many", ids, outgoing, incoming, seq=stamp)
         return {"stored": len(ids), "seq": seq}, {}
 
     def _op_update_many(self, message: Message) -> tuple[dict, dict]:
         ids = self._local_ids(message)
+        stamp = self._replay_stamp(message)
         unknown = [i for i in ids if i not in self.store]
         if unknown:
             raise ValidationError(
@@ -689,41 +658,42 @@ class ShardServer:
         outgoing = message.array("outgoing")
         incoming = message.array("incoming")
         self.store.put_many(ids, outgoing, incoming)
-        seq = self._journal_append(
-            message, "update_many", ids, outgoing, incoming
+        seq = self.journal.append(
+            "update_many", ids, outgoing, incoming, seq=stamp
         )
         return {"updated": len(ids), "seq": seq}, {}
 
     def _op_delete(self, message: Message) -> tuple[dict, dict]:
         host_id = self._scalar_id(message, "id")
+        stamp = self._replay_stamp(message)
         deleted = self.store.delete(host_id)
         # Journaled even when the host was absent: siblings receive the
         # same fanned-out delete, so recording it unconditionally keeps
         # their sequence numbers aligned.
-        seq = self._journal_append(message, "delete", [host_id])
+        seq = self.journal.append("delete", [host_id], seq=stamp)
         return {"deleted": deleted, "seq": seq}, {}
 
-    def _journal_append(
-        self, message: Message, op: str, ids, outgoing=None, incoming=None
-    ) -> int:
-        """Record an applied mutation; honours the optional replay stamp.
+    def _replay_stamp(self, message: Message) -> int | None:
+        """A mutating request's optional replay stamp, checked before
+        the handler touches the store.
 
         A repairer replaying a sibling's journal passes the sibling's
         seq in the request's ``seq`` field so both replicas land on the
-        same high-water mark (``docs/wire-protocol.md``).
+        same high-water mark (``docs/wire-protocol.md``). Rejecting a
+        malformed stamp up front keeps every applied write journaled.
         """
         stamp = message.fields.get("seq")
         if stamp is not None and not isinstance(stamp, int):
             raise ValidationError(f"seq stamp must be an int, got {stamp!r}")
-        return self.journal.append(
-            op, ids, outgoing, incoming, seq=stamp
-        )
+        return stamp
 
     def _op_gather(self, message: Message) -> tuple[dict, dict]:
         ids = self._local_ids(message)
         which = message.fields.get("which", "both")
-        # copy=False: contiguous row slabs leave the store as views and
-        # the codec scatter-writes them — no intermediate stacking.
+        if which not in ("out", "in", "both"):
+            raise ValidationError(f"gather 'which' must be out/in/both, got {which!r}")
+        # copy=False: contiguous row slabs leave the store as views, and
+        # the codec copies them once into the response frame.
         outgoing, incoming = self.store.gather(ids, copy=False)
         # A gather is the shard's share of a routed batch (the einsum
         # runs at the router), so it must register as served work or
@@ -733,8 +703,6 @@ class ShardServer:
             return {}, {"outgoing": outgoing}
         if which == "in":
             return {}, {"incoming": incoming}
-        if which != "both":
-            raise ValidationError(f"gather 'which' must be out/in/both, got {which!r}")
         return {}, {"outgoing": outgoing, "incoming": incoming}
 
     def _op_ids(self, message: Message) -> tuple[dict, dict]:

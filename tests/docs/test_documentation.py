@@ -160,3 +160,25 @@ class TestCheckerCatchesRot:
         # value enumerations and other pages are not field lists
         assert "`which` ∈ `out`/`in`/`both`" in real
         assert checker.check_wire_ops(tmp_path / "other.md", rotted) == []
+
+    def test_flags_wire_response_field_no_handler_returns(self, tmp_path):
+        page = tmp_path / "wire-protocol.md"
+        real = (REPO_ROOT / "docs" / "wire-protocol.md").read_text(encoding="utf-8")
+        rotted = real.replace(
+            "`journal_first_seq`, `journal_entries` |",
+            "`journal_first_seq`, `journal_entries`, `journal_evicted` |",
+        ).replace("| `updated` — rejects", "| `refreshed` — rejects")
+        errors = checker.check_wire_ops(page, rotted)
+        assert len(errors) == 2
+        assert errors[0].endswith(
+            "op `update_many` documents response field `refreshed`, which "
+            "its handler never returns"
+        )
+        # health's keys come from health_fields, which _op_health calls
+        assert errors[1].endswith(
+            "op `health` documents response field `journal_evicted`, which "
+            "its handler never returns"
+        )
+        # only the words before a cell's first " — " or ":" are fields
+        assert "`digest` (hex sha-256), `seq`, `n_hosts` — order-" in real
+        assert "array `values`: this shard's `k` nearest" in real

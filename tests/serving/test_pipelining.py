@@ -449,10 +449,10 @@ class TestBackpressureAndTelemetry:
         run(scenario())
 
     def test_gather_view_consumed_before_interleaved_update(self):
-        """The zero-copy race the write-lock discipline prevents: a
-        pipelined update_many racing a gather on the same connection
-        must never corrupt the gather's response — it reflects the
-        rows wholly before or wholly after the update."""
+        """A gather's row views are copied into its frame before any
+        await, so a pipelined update_many racing a gather on the same
+        connection must never tear the gather's response — it reflects
+        the rows wholly before or wholly after the update."""
         rng = np.random.default_rng(7)
         ids = [f"h{i}" for i in range(16)]
         before_out = rng.random((16, DIMENSION))
@@ -659,14 +659,14 @@ class TestRequestIdQuarantine:
 
 
 # ---------------------------------------------------------------------- #
-# scatter-write flush (payload views must not outlive write_message)
+# one copy per send (a queued frame never aliases its source arrays)
 # ---------------------------------------------------------------------- #
 
 
 class _RetainingTransport(asyncio.Transport):
     """A write transport that accepts every buffer but sends nothing
     until told to flush — modeling the selector transport's
-    by-reference retention of unsent memoryviews under backpressure
+    by-reference retention of unsent buffers under backpressure
     (Python 3.12+ keeps the exact objects it was handed)."""
 
     def __init__(self, protocol):
@@ -674,28 +674,18 @@ class _RetainingTransport(asyncio.Transport):
         self._protocol = protocol
         self.retained: list = []
         self.sent = bytearray()
-        self.aborted = False
+        self.writes = 0
         self._low, self._high = 16 * 1024, 64 * 1024
         self._paused = False
         self._closing = False
 
     def write(self, data) -> None:
+        self.writes += 1
         self.retained.append(data)  # by reference, like the real deque
         self._maybe_pause()
 
     def get_write_buffer_size(self) -> int:
         return sum(memoryview(chunk).nbytes for chunk in self.retained)
-
-    def get_write_buffer_limits(self):
-        return (self._low, self._high)
-
-    def set_write_buffer_limits(self, high=None, low=None) -> None:
-        if high is None:
-            high = 64 * 1024 if low is None else 4 * low
-        if low is None:
-            low = high // 4
-        self._low, self._high = low, high
-        self._maybe_pause()
 
     def flush(self) -> None:
         """Pretend the kernel accepted everything."""
@@ -704,22 +694,10 @@ class _RetainingTransport(asyncio.Transport):
         self.retained.clear()
         self._maybe_resume()
 
-    def flush_some(self) -> None:
-        """Pretend the kernel accepted one buffered chunk (a slow but
-        steadily-reading peer)."""
-        if self.retained:
-            self.sent += bytes(self.retained.pop(0))
-        self._maybe_resume()
-
     def is_closing(self) -> bool:
         return self._closing
 
     def close(self) -> None:
-        self._closing = True
-
-    def abort(self) -> None:
-        self.aborted = True
-        self.retained.clear()
         self._closing = True
 
     def _maybe_pause(self) -> None:
@@ -742,37 +720,44 @@ def _retaining_writer():
 
 
 class TestScatterWriteFlush:
-    def test_write_message_waits_for_retained_payload_views(self):
-        """write_message must not return while the transport still
-        holds payload views — the server's write-lock discipline (and
-        any caller reusing its arrays) depends on it."""
+    """write_message against a transport that holds what it is given."""
+
+    def test_frame_is_copied_once_before_drain(self):
+        """The frame is encoded into one buffer and handed to the
+        transport in one write before write_message awaits: mutating
+        the source arrays while it waits in drain() cannot change the
+        bytes that reach the wire."""
 
         async def scenario():
             transport, writer = _retaining_writer()
-            payload = np.arange(8, dtype=float)
+            # 2 x 80 KB: past the 64 KiB high-water mark, so drain waits.
+            outgoing = np.arange(10_000, dtype=float)
+            incoming = -np.arange(10_000, dtype=float)
+            expected_out, expected_in = outgoing.copy(), incoming.copy()
             task = asyncio.create_task(
-                write_message(writer, {"op": "x"}, {"v": payload})
+                write_message(
+                    writer, {"op": "x"},
+                    {"outgoing": outgoing, "incoming": incoming},
+                )
             )
             for _ in range(20):
                 await asyncio.sleep(0)
-            assert not task.done(), "returned with payload views retained"
+            assert not task.done(), "drain did not wait under backpressure"
+            outgoing[:] = 7.0
+            incoming[:] = 7.0
             transport.flush()
             await asyncio.wait_for(task, timeout=1.0)
-            # Mutating the source array after return must not corrupt
-            # the frame that went to the wire.
-            payload[:] = -1.0
             message = decode_frame(bytes(transport.sent))
-            np.testing.assert_array_equal(
-                message.array("v"), np.arange(8, dtype=float)
-            )
-            # The ordinary buffer limits were restored afterwards.
-            assert transport.get_write_buffer_limits() == (16 * 1024, 64 * 1024)
+            np.testing.assert_array_equal(message.array("outgoing"), expected_out)
+            np.testing.assert_array_equal(message.array("incoming"), expected_in)
+            assert transport.writes == 1
+            writer.close()
 
         run(scenario())
 
     def test_header_only_frame_is_not_blocked_by_backpressure(self):
-        """A frame with no payload views hands the transport immutable
-        bytes, so write_message need not wait for a full flush."""
+        """A small frame fits under the high-water mark, so
+        write_message returns while the transport still holds it."""
 
         async def scenario():
             transport, writer = _retaining_writer()
@@ -786,78 +771,12 @@ class TestScatterWriteFlush:
         run(scenario())
 
 
-class TestWriteBarrierAcrossConnections:
-    def test_zero_copy_gather_isolated_from_other_connections_update(self):
-        """The server-wide write barrier: while one connection's large
-        gather response sits backpressured in the transport (still
-        aliasing store rows), an update_many arriving on ANOTHER
-        connection must wait — the delivered gather reflects the store
-        wholly before the update, never torn."""
-        n_hosts, d = 100_000, 40  # ~32 MB response >> kernel buffers
-        ids = [f"h{i}" for i in range(n_hosts)]
-
-        async def scenario():
-            store = InMemoryVectorStore(d)
-            base = np.arange(n_hosts * d, dtype=float).reshape(n_hosts, d)
-            store.put_many(ids, base, base)
-            async with ShardServer(
-                # Generous flush_timeout: this test reads the response
-                # (slowly, through the tiny buffer) and is about the
-                # write barrier; the abort path has its own test.
-                store=store, shard_index=0, n_shards=1, flush_timeout=60.0
-            ) as server:
-                host, port = server.address
-                # Connection A: a raw socket with a tiny receive buffer
-                # that does not read yet, so the server's response
-                # backpressures with row views queued in its transport.
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-                sock.setblocking(False)
-                await asyncio.get_running_loop().sock_connect(
-                    sock, (host, port)
-                )
-                reader_a, writer_a = await asyncio.open_connection(sock=sock)
-                writer_a.write(
-                    encode_frame(
-                        {"op": "gather", "ids": ids, "which": "out"},
-                        request_id=1,
-                    )
-                )
-                await writer_a.drain()
-                await asyncio.sleep(0.3)  # server now stuck flushing A
-                # Connection B: overwrite the LAST rows — the bytes
-                # still queued in A's transport buffer.
-                tail = ids[-1000:]
-                update = np.full((1000, d), -5.0)
-                client = RemoteShardClient(host, port, timeout=30.0, retries=0)
-                update_task = asyncio.create_task(
-                    client.call(
-                        "update_many",
-                        {"ids": tail},
-                        {"outgoing": update, "incoming": update},
-                    )
-                )
-                await asyncio.sleep(0.2)
-                # Barred by the server-wide lock until A's frame flushes.
-                assert not update_task.done()
-                response = await asyncio.wait_for(
-                    read_message(reader_a), timeout=30.0
-                )
-                outgoing = np.asarray(response.array("outgoing"))
-                np.testing.assert_array_equal(outgoing, base)
-                await asyncio.wait_for(update_task, timeout=5.0)
-                writer_a.close()
-                await client.close()
-
-        run(scenario())
-
-
 class TestCancellationDiscipline:
     def test_timeout_during_backpressure_flush_does_not_poison(self):
-        """A caller timing out while write_message waits out transport
-        backpressure finds its frame fully queued (every write is
-        synchronous): the socket must stay healthy for the other
-        pipelined calls, and the id goes into quarantine."""
+        """A caller that times out while its frame still sits unsent
+        in the transport (write_message queues it in one synchronous
+        write) leaves the socket healthy for the other pipelined calls,
+        and its id goes into quarantine."""
 
         async def scenario():
             transport, writer = _retaining_writer()
@@ -921,11 +840,12 @@ class TestCancellationDiscipline:
 
 
 class TestStalledPeerIsolation:
-    def test_stalled_reader_is_aborted_not_allowed_to_freeze_the_shard(self):
-        """flush_timeout bounds the server-wide write lock: a peer that
-        requests a large response and then stops reading gets its
-        connection aborted, and every other connection keeps being
-        served."""
+    def test_stalled_reader_stalls_only_its_own_connection(self):
+        """A peer that requests a large response and then stops reading
+        holds up only its own connection: other connections' writes and
+        reads finish at once, and when the stalled peer reads at last,
+        its connection is still open and its frame holds the rows as
+        they were when the gather ran."""
         n_hosts, d = 100_000, 40  # ~32 MB response >> kernel buffers
         ids = [f"h{i}" for i in range(n_hosts)]
 
@@ -933,10 +853,11 @@ class TestStalledPeerIsolation:
             store = InMemoryVectorStore(d)
             base = np.arange(n_hosts * d, dtype=float).reshape(n_hosts, d)
             store.put_many(ids, base, base)
-            async with ShardServer(
-                store=store, shard_index=0, n_shards=1, flush_timeout=0.3
-            ) as server:
+            async with ShardServer(store=store, shard_index=0, n_shards=1) as server:
                 host, port = server.address
+                # Connection A: a raw socket with a tiny receive buffer
+                # that does not read, so the server's response
+                # backpressures in its transport.
                 sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
                 sock.setblocking(False)
@@ -953,28 +874,43 @@ class TestStalledPeerIsolation:
                         )
                     )
                     await writer_a.drain()
-                    # ... and never read: the stalled peer. Wait until
-                    # the server has dispatched the gather, so the ping
-                    # below queues behind its stalled flush instead of
-                    # overtaking the still-arriving request frame.
-                    for _ in range(1000):
-                        if server.pipelined_requests:
+                    # Wait until the gather has run, so the update below
+                    # lands after it instead of overtaking the request.
+                    for _ in range(2000):
+                        if server.engine.queries_served:
                             break
                         await asyncio.sleep(0.005)
-                    started = time.perf_counter()
-                    response = await asyncio.wait_for(
-                        client.call("ping"), timeout=5.0
+                    assert server.engine.queries_served == 1
+                    # Connection B: overwrite the LAST rows, the bytes
+                    # still queued behind A's unread frame.
+                    tail = ids[-1000:]
+                    update = np.full((1000, d), -5.0)
+                    await asyncio.wait_for(
+                        client.call(
+                            "update_many",
+                            {"ids": tail},
+                            {"outgoing": update, "incoming": update},
+                        ),
+                        timeout=1.0,
                     )
-                    elapsed = time.perf_counter() - started
+                    response = await asyncio.wait_for(
+                        client.call("ping"), timeout=1.0
+                    )
                     assert response.fields["n_hosts"] == n_hosts
-                    assert elapsed < 3.0  # waited out the abort, no freeze
-                    # The stalled connection itself was aborted.
-                    with pytest.raises((ConnectionError, asyncio.TimeoutError)):
-                        await asyncio.wait_for(
-                            read_message(reader_a), timeout=5.0
-                        )
+                    # A reads at last: never aborted, frame untouched.
+                    gathered = await asyncio.wait_for(
+                        read_message(reader_a), timeout=30.0
+                    )
+                    np.testing.assert_array_equal(
+                        gathered.array("outgoing"), base
+                    )
+                    writer_a.write(encode_frame({"op": "ping"}, request_id=2))
+                    pong = await asyncio.wait_for(
+                        read_message(reader_a), timeout=5.0
+                    )
+                    assert pong.request_id == 2 and pong.fields["ok"]
                 finally:
-                    writer_a.transport.abort()
+                    writer_a.close()
                     await client.close()
 
         run(scenario())
@@ -999,55 +935,6 @@ class TestShardIndexAttribution:
                 with pytest.raises(ShardUnavailableError) as caught:
                     await asyncio.wait_for(call, timeout=2.0)
                 assert caught.value.shard_index == 7
-
-        run(scenario())
-
-
-class TestFlushStallDetection:
-    def test_steady_progress_is_never_aborted_but_a_stall_is(self):
-        """flush_timeout is a stall bound, not a transfer bound: a
-        peer draining the buffer chunk by chunk keeps resetting the
-        clock (total transfer time far exceeds the timeout), while a
-        peer that stops entirely is aborted with the unsent byte count
-        in the error."""
-
-        async def scenario():
-            transport, writer = _retaining_writer()
-            arrays = {
-                f"v{i}": np.arange(64, dtype=float) for i in range(8)
-            }
-            task = asyncio.create_task(
-                write_message(writer, {"op": "x"}, arrays, flush_timeout=0.2)
-            )
-            for _ in range(10):  # 9 chunks (header + 8 views) + slack
-                await asyncio.sleep(0.05)
-                transport.flush_some()
-            # ~0.5 s total > flush_timeout, yet steadily delivered.
-            await asyncio.wait_for(task, timeout=2.0)
-            assert not transport.aborted
-
-            stalled = asyncio.create_task(
-                write_message(writer, {"op": "y"}, arrays, flush_timeout=0.2)
-            )
-            with pytest.raises(ConnectionResetError, match="no progress"):
-                await asyncio.wait_for(stalled, timeout=2.0)
-            assert transport.aborted
-
-        run(scenario())
-
-    def test_header_only_frame_is_bounded_when_server_asks(self):
-        """Error frames and big-header responses carry no payload
-        views, but with flush_timeout set they must still never pin
-        the server's write lock behind an unbounded drain."""
-
-        async def scenario():
-            transport, writer = _retaining_writer()
-            # A previous frame stuffed the buffer past the high-water
-            # mark and the peer has stopped reading.
-            transport.write(b"x" * (128 * 1024))
-            with pytest.raises(ConnectionResetError, match="no progress"):
-                await write_message(writer, {"op": "ping"}, flush_timeout=0.2)
-            assert transport.aborted
 
         run(scenario())
 

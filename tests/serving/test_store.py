@@ -317,7 +317,8 @@ class TestZeroCopyGather:
 
     def test_contiguous_slab_is_a_view_with_copy_false(self):
         """Bulk-seeded hosts occupy a contiguous slab: gather(copy=False)
-        returns slice views — the zero-copy path to the socket."""
+        returns slice views, which the shard server copies once into
+        its response frame."""
         store, ids = self.build()
         outgoing, incoming = store.gather(ids, copy=False)
         assert not outgoing.flags.owndata

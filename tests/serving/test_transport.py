@@ -28,6 +28,7 @@ from repro.serving import (
     ShardedQueryRouter,
     shard_of,
 )
+from repro.serving.journal import store_digest
 from repro.serving.transport import protocol
 from repro.serving.transport.protocol import (
     MAGIC,
@@ -386,6 +387,76 @@ class TestShardServerRpc:
                         await client.call("nearest", fields, source)
                     response = await client.call("nearest", {"k": 2}, source)
                     assert response.fields["ids"] == ["a", "b"]
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("stamp", ["7", 1.5, [1]], ids=["str", "float", "list"])
+    @pytest.mark.parametrize("op", ["put_many", "update_many", "delete"])
+    def test_malformed_seq_stamp_changes_nothing(self, op, stamp):
+        """A malformed replay stamp is rejected before the write is
+        applied, so no write can land in the store but not the
+        journal."""
+        rows = {
+            "outgoing": np.full((1, DIMENSION), 2.0),
+            "incoming": np.full((1, DIMENSION), 2.0),
+        }
+        requests = {
+            "put_many": ({"ids": ["b"]}, rows),
+            "update_many": ({"ids": ["a"]}, rows),
+            "delete": ({"id": "a"}, None),
+        }
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(*server.address)
+                try:
+                    await client.call(
+                        "put_many",
+                        {"ids": ["a"]},
+                        {
+                            "outgoing": np.ones((1, DIMENSION)),
+                            "incoming": np.ones((1, DIMENSION)),
+                        },
+                    )
+                    digest = store_digest(server.store)
+                    high_water = server.journal.high_water
+                    fields, arrays = requests[op]
+                    with pytest.raises(ValidationError, match="seq stamp"):
+                        await client.call(op, {**fields, "seq": stamp}, arrays)
+                    assert store_digest(server.store) == digest
+                    assert server.journal.high_water == high_water
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+    def test_gather_rejects_bad_which_before_counting(self):
+        """A gather with an unknown ``which`` is rejected before it
+        does any work: no rows gathered, no query counted."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(*server.address)
+                try:
+                    await client.call(
+                        "put_many",
+                        {"ids": ["a"]},
+                        {
+                            "outgoing": np.ones((1, DIMENSION)),
+                            "incoming": np.ones((1, DIMENSION)),
+                        },
+                    )
+                    with pytest.raises(ValidationError, match="which"):
+                        await client.call(
+                            "gather", {"ids": ["a"], "which": "bogus"}
+                        )
+                    assert server.engine.queries_served == 0
                 finally:
                     await client.close()
 

@@ -28,10 +28,13 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    ``src/repro`` as a class, a function or a module-level name, so a
    deleted class cannot linger in the docs;
 7. ``docs/wire-protocol.md``'s op table has a row for every op in
-   ``ShardServer._HANDLERS``, and every backticked request field in a
+   ``ShardServer._HANDLERS``; every backticked request field in a
    row is one that op's handler reads: a string constant passed to
-   ``fields.get``, ``_local_ids``, ``_scalar_id`` or ``array``, in the
-   handler or in a ``ShardServer`` method it calls.
+   ``fields.get``, ``_local_ids``, ``_scalar_id`` or ``array``; and
+   every backticked response field (before the cell's first `` — ``
+   or ``:``) is a string key of a dict literal. Both count what the
+   handler does itself and what the ``ShardServer`` methods it calls
+   do (``health_fields`` for ``health``).
 
 The checker is intentionally a plain script with a ``collect_errors``
 entry point: no test framework required, importable from the test
@@ -179,9 +182,10 @@ def check_json_blocks(path: Path, text: str) -> list[str]:
     return errors
 
 
-#: Table rows keyed by a backticked name, with their second cell:
-#: | `name` | values... | description | (the axis catalog, the op table)
-_TABLE_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|([^|]*)\|", re.MULTILINE)
+#: Table rows keyed by a backticked name, with their second and third
+#: cells: | `name` | values... | description | (the axis catalog, the
+#: op table)
+_TABLE_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|([^|]*)\|([^|]*)", re.MULTILINE)
 #: Backticked tokens inside one table cell.
 _CELL_TOKENS = re.compile(r"`([^`]+)`")
 
@@ -294,8 +298,9 @@ _VALUE_LIST = re.compile(r"∈\s*`[^`]*`(?:\s*/\s*`[^`]*`)*")
 
 
 @functools.cache
-def handler_fields() -> dict[str, frozenset[str]]:
-    """The request fields each ``ShardServer._HANDLERS`` op reads."""
+def handler_fields() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+    """Per ``ShardServer._HANDLERS`` op: the request fields its handler
+    reads and the response keys it writes."""
     tree = ast.parse(SERVER_MODULE.read_text(encoding="utf-8"))
     server = next(
         node for node in tree.body
@@ -320,10 +325,25 @@ def handler_fields() -> dict[str, frozenset[str]]:
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
         }
 
-    def reads(name: str, seen: set[str]) -> set[str]:
+    def reachable(name: str, seen: set[str]) -> list[ast.AST]:
+        """The nodes of a method and of the ``self.`` methods it calls."""
         seen.add(name)
+        nodes = list(ast.walk(methods[name]))
+        for node in list(nodes):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+                and node.func.attr in methods
+                and node.func.attr not in seen
+            ):
+                nodes += reachable(node.func.attr, seen)
+        return nodes
+
+    def reads(nodes) -> set[str]:
         found: set[str] = set()
-        for node in ast.walk(methods[name]):
+        for node in nodes:
             if not (
                 isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             ):
@@ -333,49 +353,58 @@ def handler_fields() -> dict[str, frozenset[str]]:
                 # message.fields.get(key, default): only the key counts
                 if isinstance(owner, ast.Attribute) and owner.attr == "fields":
                     found |= strings(node.args[:1])
-                continue
-            if called in _FIELD_READERS:
+            elif called in _FIELD_READERS:
                 keys = strings(node.args)
                 if not keys and called in methods:
                     # `_local_ids(message)` reads its default key, "ids"
                     keys = strings(methods[called].args.defaults)
                 found |= keys
-            if (
-                isinstance(owner, ast.Name) and owner.id == "self"
-                and called in methods and called not in seen
-            ):
-                found |= reads(called, seen)
         return found
 
-    return {
-        op.value: frozenset(reads(handler.id, set()))
-        for op, handler in zip(handlers.keys, handlers.values)
-    }
+    def writes(nodes) -> set[str]:
+        return {
+            key for node in nodes if isinstance(node, ast.Dict)
+            for key in strings(node.keys)
+        }
+
+    surface = {}
+    for op, handler in zip(handlers.keys, handlers.values):
+        nodes = reachable(handler.id, set())
+        surface[op.value] = (frozenset(reads(nodes)), frozenset(writes(nodes)))
+    return surface
 
 
 def check_wire_ops(path: Path, text: str) -> list[str]:
     """docs/wire-protocol.md's op table must match the server's handlers."""
     if path.name != "wire-protocol.md":
         return []
-    fields_by_op = handler_fields()
+    surface = handler_fields()
     rows = {
         row.group(1): row for row in _TABLE_ROW.finditer(text)
-        if row.group(1) in fields_by_op
+        if row.group(1) in surface
     }
     errors = []
-    missing = sorted(set(fields_by_op) - set(rows))
+    missing = sorted(set(surface) - set(rows))
     if missing:
         errors.append(
             f"{path.name}: op table has no row for: {', '.join(missing)}"
         )
     for op, row in rows.items():
+        where = f"{path.name}:{_line_of(text, row.start())}: op `{op}`"
+        reads, writes = surface[op]
         request = _VALUE_LIST.sub("", row.group(2))
         for field in re.findall(r"`(\w+)`", request):
-            if field not in fields_by_op[op]:
+            if field not in reads:
                 errors.append(
-                    f"{path.name}:{_line_of(text, row.start())}: op `{op}` "
-                    f"documents request field `{field}`, which its handler "
-                    "never reads"
+                    f"{where} documents request field `{field}`, which its "
+                    "handler never reads"
+                )
+        response = re.split(r" — |:", row.group(3), maxsplit=1)[0]
+        for field in re.findall(r"`(\w+)`", response):
+            if field not in writes:
+                errors.append(
+                    f"{where} documents response field `{field}`, which its "
+                    "handler never returns"
                 )
     return errors
 
