@@ -1,8 +1,9 @@
 """Ablation benches: spectra, relaxed placement, NNLS, asymmetry.
 
-These regenerate the design-choice studies indexed in DESIGN.md
-(``ablate-rank``, ``ablate-relaxed``, ``ablate-nnls``, ``ablate-asym``)
-— the claims the paper makes in passing, measured.
+These regenerate the design-choice studies indexed in
+docs/paper-mapping.md (``ablate-rank``, ``ablate-relaxed``,
+``ablate-nnls``, ``ablate-asym``) — the claims the paper makes in
+passing, measured.
 """
 
 from repro.evaluation.experiments.ablations import (

@@ -168,7 +168,7 @@ def measure_pipelining_overhead(rounds: int = 8) -> tuple:
                 async def one(plan: list) -> None:
                     async with window:
                         await client.call(
-                            "gather", {"ids": plan, "which": "out"}
+                            "gather", {"out": plan}
                         )
 
                 started = time.perf_counter()

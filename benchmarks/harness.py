@@ -258,14 +258,14 @@ async def _measure_once(
 
         started = time.perf_counter()
         for plan in picks:
-            await client.call("gather", {"ids": plan, "which": "out"})
+            await client.call("gather", {"out": plan})
         sequential = time.perf_counter() - started
 
         window = asyncio.Semaphore(depth)
 
         async def one(plan: list) -> None:
             async with window:
-                await client.call("gather", {"ids": plan, "which": "out"})
+                await client.call("gather", {"out": plan})
 
         started = time.perf_counter()
         await asyncio.gather(*(one(plan) for plan in picks))

@@ -15,8 +15,8 @@ library's own substrates:
 
 Every generator is deterministic given its seed; calling with
 ``seed=None`` uses a fixed canonical seed so that figures and tables
-are exactly reproducible run to run. See DESIGN.md section 2 for the
-substitution rationale per data set.
+are exactly reproducible run to run. See "The data sets" in
+docs/paper-mapping.md for the substitution rationale per data set.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Section 2.1).
 The calibration here fits the single scale factor ``alpha`` minimizing
 the squared error between ``alpha * ||c_i - c_j||`` and the observed
 distances — the simplest linear calibration consistent with the
-published descriptions (see DESIGN.md "Notable implementation
-decisions"). This class is the reconstruction baseline of Figure 3;
+published descriptions (see "Implementation decisions" in
+docs/paper-mapping.md). This class is the reconstruction baseline of Figure 3;
 :class:`repro.embedding.ICSSystem` reuses it for landmark-based
 prediction (Figure 6).
 """

@@ -1,8 +1,8 @@
 """Experiment runners, one per paper artifact plus ablations.
 
 Each runner exposes ``run(seed=None, fast=False) -> ExperimentResult``.
-:data:`REGISTRY` maps DESIGN.md experiment ids to runners for the CLI
-and the benchmark harness.
+:data:`REGISTRY` maps the experiment ids listed in
+docs/paper-mapping.md to runners for the CLI and the benchmark harness.
 """
 
 from typing import Callable

@@ -33,7 +33,8 @@ class ExperimentResult:
     """Outcome of one experiment runner.
 
     Attributes:
-        experiment_id: DESIGN.md experiment id ("fig2", "table1", ...).
+        experiment_id: experiment id ("fig2", "table1", ...; listed in
+            docs/paper-mapping.md).
         description: one-line description of the paper artifact.
         data: raw numeric results keyed by series/system name.
         table: printable paper-style text artifact.

@@ -23,11 +23,12 @@ Three policies per regime:
   (:class:`repro.ides.OnlineVectorTracker`-style, batched) while the
   landmark factors stay frozen.
 
-The headline finding (recorded in EXPERIMENTS.md): under mild drift a
-frozen model *outlives* naive refreshing, because route churn raises
-the matrix's effective rank — a fresh fit at the same ``d`` pays that
-higher floor, while the frozen model only pays the (small) drift.
-Under heavy drift the ordering flips and periodic full refresh wins.
+The headline finding, with its numbers in docs/paper-mapping.md:
+under mild drift a frozen model *outlives* naive refreshing, because
+route churn raises the matrix's effective rank — a fresh fit at the
+same ``d`` pays that higher floor, while the frozen model only pays
+the (small) drift. Under heavy drift the ordering flips late in the
+run, and periodic full refresh wins.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ implementation). The short version::
 
     offset  size  field
     0       4     magic  b"IDES"
-    4       1     protocol version (always 2)
+    4       1     protocol version (always 3)
     5       1     flags (reserved, must be 0)
     6       2     request id
     8       4     header length H, big-endian unsigned
@@ -80,8 +80,9 @@ __all__ = [
 
 MAGIC = b"IDES"
 
-#: The one wire version: request-id framing, pipelining.
-PROTOCOL_VERSION = 2
+#: The one wire version: request-id framing, pipelining, and a
+#: ``gather`` that carries separate ``out`` and ``in`` id lists.
+PROTOCOL_VERSION = 3
 
 #: Request ids are the prelude's 16-bit field; id 0 is valid (error
 #: frames for requests that never decoded carry it).

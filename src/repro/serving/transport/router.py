@@ -11,12 +11,13 @@ sequential per-shard dispatch by >= 2x.
 
 Query plans (each line is one concurrent round):
 
-* ``pairs``   — gather outgoing rows per source shard + incoming rows
-  per destination shard, then one local einsum. One round.
+* ``pairs``   — one ``gather`` per shard holding any source or
+  destination, carrying its sources in ``out`` and its destinations
+  in ``in``, then one local einsum. One round.
 * ``one_to_many`` — fetch the source's outgoing vector from its home
-  shard, then scatter a ``fanout`` RPC (vector inline) to every shard
-  holding destinations; each shard answers with its local dot
-  products. Two rounds.
+  shard (a ``gather`` with only ``out``), then scatter a ``fanout``
+  RPC (vector inline) to every shard holding destinations; each shard
+  answers with its local dot products. Two rounds.
 * ``k_nearest``   — fetch the source vector, then scatter a
   ``nearest`` RPC to every candidate-holding shard; each shard returns
   its local top-k and the router merges. Two rounds.
@@ -328,41 +329,49 @@ class ShardedQueryRouter:
     # reads
     # ------------------------------------------------------------------ #
 
-    async def gather(
-        self, host_ids: Sequence, which: str = "both", deadline=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    async def gather(self, host_ids: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """Stack hosts' vectors into ``(n, d)`` matrices, request order.
 
-        ``which`` limits the wire payload: ``"out"`` fills only the
-        outgoing matrix (incoming rows are zero), ``"in"`` the
-        reverse. One concurrent RPC per involved shard. ``deadline``
-        (a :class:`~repro.serving.transport.protocol.Deadline`) rides
-        into every sub-RPC: each shard client derives its attempt
-        timeout from the remaining budget and the servers shed the
-        request if it expires in their queues.
+        One concurrent RPC per involved shard.
         """
         host_ids = list(host_ids)
+        return await self._gather_rows(host_ids, host_ids)
+
+    async def _gather_rows(
+        self, out_ids: Sequence, in_ids: Sequence, deadline=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The outgoing rows of ``out_ids`` and the incoming rows of
+        ``in_ids``, each in request order: one ``gather`` per shard
+        that holds any of them, all concurrent. ``deadline`` (a
+        :class:`~repro.serving.transport.protocol.Deadline`) rides
+        into every sub-RPC: each shard client derives its attempt
+        timeout from the remaining budget and the servers shed the
+        request if it expires in their queues."""
+        out_ids = list(out_ids)
+        in_ids = list(in_ids)
         dimension = await self._require_dimension()
-        count = len(host_ids)
-        outgoing = np.zeros((count, dimension))
-        incoming = np.zeros((count, dimension))
-        groups = group_by_shard(host_ids, self.n_shards)
+        outgoing = np.zeros((len(out_ids), dimension))
+        incoming = np.zeros((len(in_ids), dimension))
+        out_groups = group_by_shard(out_ids, self.n_shards)
+        in_groups = group_by_shard(in_ids, self.n_shards)
+        shards = sorted(out_groups.keys() | in_groups.keys())
 
-        async def fetch(shard_index: int, positions: np.ndarray):
-            response = await self.clients[shard_index].call(
-                "gather",
-                {"ids": [host_ids[p] for p in positions], "which": which},
-                deadline=deadline,
+        async def fetch(shard_index: int):
+            fields = {}
+            if shard_index in out_groups:
+                fields["out"] = [out_ids[p] for p in out_groups[shard_index]]
+            if shard_index in in_groups:
+                fields["in"] = [in_ids[p] for p in in_groups[shard_index]]
+            return await self.clients[shard_index].call(
+                "gather", fields, deadline=deadline
             )
-            return positions, response
 
-        for positions, response in await asyncio.gather(
-            *(fetch(shard, positions) for shard, positions in groups.items())
-        ):
-            if which in ("both", "out"):
-                outgoing[positions] = response.array("outgoing")
-            if which in ("both", "in"):
-                incoming[positions] = response.array("incoming")
+        responses = await asyncio.gather(*(fetch(shard) for shard in shards))
+        for shard_index, response in zip(shards, responses):
+            if shard_index in out_groups:
+                outgoing[out_groups[shard_index]] = response.array("outgoing")
+            if shard_index in in_groups:
+                incoming[in_groups[shard_index]] = response.array("incoming")
         return outgoing, incoming
 
     async def point(
@@ -412,9 +421,8 @@ class ShardedQueryRouter:
                 f"sources and {len(destination_ids)} destinations"
             )
         with self._observe("pairs"):
-            (outgoing, _), (_, incoming) = await asyncio.gather(
-                self.gather(source_ids, which="out", deadline=deadline),
-                self.gather(destination_ids, which="in", deadline=deadline),
+            outgoing, incoming = await self._gather_rows(
+                source_ids, destination_ids, deadline
             )
             self._count(len(source_ids))
             return np.einsum("ij,ij->i", outgoing, incoming)
@@ -449,9 +457,8 @@ class ShardedQueryRouter:
     ) -> np.ndarray:
         """The ``(n_src, n_dst)`` block: gather both sides, one product."""
         with self._observe("many_to_many"):
-            (outgoing, _), (_, incoming) = await asyncio.gather(
-                self.gather(source_ids, which="out"),
-                self.gather(destination_ids, which="in"),
+            outgoing, incoming = await self._gather_rows(
+                source_ids, destination_ids
             )
             self._count(len(source_ids) * len(destination_ids))
             return outgoing @ incoming.T
@@ -510,8 +517,11 @@ class ShardedQueryRouter:
         return collected
 
     async def _source_vector(self, source_id: object) -> np.ndarray:
+        # One id on one known shard: a direct call. Going through
+        # _gather_rows (a task, grouping, a row scatter) cost about 13%
+        # more CPU per scan_closed op on a 2-vCPU VM.
         response = await self.client_for(source_id).call(
-            "gather", {"ids": [source_id], "which": "out"}
+            "gather", {"out": [source_id]}
         )
         return response.array("outgoing")[0]
 

@@ -688,22 +688,30 @@ class ShardServer:
         return stamp
 
     def _op_gather(self, message: Message) -> tuple[dict, dict]:
-        ids = self._local_ids(message)
-        which = message.fields.get("which", "both")
-        if which not in ("out", "in", "both"):
-            raise ValidationError(f"gather 'which' must be out/in/both, got {which!r}")
+        """Outgoing rows for the ids in ``out`` and incoming rows for
+        the ids in ``in``: one routed batch's sources and destinations
+        on this shard. A request may leave out one list, whose array
+        the response then leaves out too, but not both."""
+        out_ids = in_ids = None
+        if message.fields.get("out") is not None:
+            out_ids = self._local_ids(message, "out")
+        if message.fields.get("in") is not None:
+            in_ids = self._local_ids(message, "in")
+        if out_ids is None and in_ids is None:
+            raise ValidationError("gather needs an 'out' or an 'in' id list")
         # copy=False: contiguous row slabs leave the store as views, and
         # the codec copies them once into the response frame.
-        outgoing, incoming = self.store.gather(ids, copy=False)
+        outgoing = incoming = None
+        if out_ids is not None:
+            outgoing = self.store.gather(out_ids, copy=False)[0]
+        if in_ids is not None:
+            incoming = self.store.gather(in_ids, copy=False)[1]
         # A gather is the shard's share of a routed batch (the einsum
         # runs at the router), so it must register as served work or
         # the dominant pairs path would leave every counter at zero.
         self.engine.count_served(0)
-        if which == "out":
-            return {}, {"outgoing": outgoing}
-        if which == "in":
-            return {}, {"incoming": incoming}
-        return {}, {"outgoing": outgoing, "incoming": incoming}
+        arrays = {"outgoing": outgoing, "incoming": incoming}
+        return {}, {name: rows for name, rows in arrays.items() if rows is not None}
 
     def _op_ids(self, message: Message) -> tuple[dict, dict]:
         return {"ids": self.store.ids()}, {}

@@ -157,8 +157,7 @@ class TestCheckerCatchesRot:
             "op `journal_since` documents request field `seq`, which its "
             "handler never reads"
         )
-        # value enumerations and other pages are not field lists
-        assert "`which` ∈ `out`/`in`/`both`" in real
+        # other pages are not checked against the handlers
         assert checker.check_wire_ops(tmp_path / "other.md", rotted) == []
 
     def test_flags_wire_response_field_no_handler_returns(self, tmp_path):
@@ -182,3 +181,21 @@ class TestCheckerCatchesRot:
         # only the words before a cell's first " — " or ":" are fields
         assert "`digest` (hex sha-256), `seq`, `n_hosts` — order-" in real
         assert "array `values`: this shard's `k` nearest" in real
+
+    def test_flags_missing_markdown_reference(self, tmp_path):
+        (tmp_path / "NOTES.md").write_text("# notes\n", encoding="utf-8")
+        source = tmp_path / "module.py"
+        text = (
+            '"""See docs/wire-protocol.md and NOTES.md beside this file.\n'
+            "\n"
+            "The rationale lives in DESIGN.md section 2.\n"
+            '"""\n'
+            'URL = "https://example.org/GHOST.md"\n'
+        )
+        errors = checker.check_markdown_references(source, text)
+        assert errors == [
+            f"{source}:3: mentions DESIGN.md, which does not exist"
+        ]
+        assert REPO_ROOT / "src" / "repro" / "datasets" / "synthetic.py" in (
+            checker.python_sources()
+        )

@@ -2,7 +2,7 @@
 
 These are the broadest tests in the suite — each one runs a full paper
 protocol end to end on shrunken workloads and asserts the qualitative
-shape the paper reports (see DESIGN.md section 5).
+shape the paper reports (see "The evaluation" in docs/paper-mapping.md).
 """
 
 import numpy as np

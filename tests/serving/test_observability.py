@@ -297,7 +297,7 @@ async def _wire_scenario(
                 "incoming": np.ones((2, 3)) * 2.0,
             },
         )
-        fields = {"ids": ["a", "b"], "which": "out"}
+        fields = {"out": ["a", "b"]}
         if inject is not None:
             fields[TRACE_FIELD] = inject
         response = await client.call("gather", fields)

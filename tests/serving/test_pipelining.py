@@ -2,7 +2,7 @@
 
 Covers the request-id framing property-wise (interleaved and
 out-of-order response streams must resolve every caller correctly),
-the refusal of any version byte other than 2, and the chaos path: a
+the refusal of any version byte other than 3, and the chaos path: a
 shard killed mid-pipeline must reject every pending future exactly
 once, and a closed client must fail in-flight calls fast instead of
 letting them hang until their timeout.
@@ -201,7 +201,7 @@ def _ping_frame_with_version(version: int) -> bytes:
 
 
 class TestSingleVersion:
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_decode_rejects_any_other_version_byte(self, version):
         with pytest.raises(ProtocolError, match="unsupported protocol version"):
             decode_frame(_ping_frame_with_version(version))
@@ -472,9 +472,7 @@ class TestBackpressureAndTelemetry:
                         {"outgoing": before_out, "incoming": before_in},
                     )
                     for _ in range(20):
-                        gather = client.call(
-                            "gather", {"ids": ids, "which": "out"}
-                        )
+                        gather = client.call("gather", {"out": ids})
                         update = client.call(
                             "update_many",
                             {"ids": ids},
@@ -869,7 +867,7 @@ class TestStalledPeerIsolation:
                 try:
                     writer_a.write(
                         encode_frame(
-                            {"op": "gather", "ids": ids, "which": "out"},
+                            {"op": "gather", "out": ids},
                             request_id=1,
                         )
                     )

@@ -169,7 +169,7 @@ class TestReplicaEndToEnd:
             client = RemoteShardClient(*address, timeout=5.0)
             try:
                 response = await client.call(
-                    "gather", {"ids": slice_ids, "which": "both"}
+                    "gather", {"out": slice_ids, "in": slice_ids}
                 )
                 return (
                     np.array(response.array("outgoing")),
@@ -224,7 +224,7 @@ class TestReplicaEndToEnd:
                     client = RemoteShardClient(*address, timeout=5.0)
                     try:
                         response = await client.call(
-                            "gather", {"ids": slice_ids, "which": "both"}
+                            "gather", {"out": slice_ids, "in": slice_ids}
                         )
                         replies.append(
                             (

@@ -434,33 +434,94 @@ class TestShardServerRpc:
 
         run(scenario())
 
-    def test_gather_rejects_bad_which_before_counting(self):
-        """A gather with an unknown ``which`` is rejected before it
-        does any work: no rows gathered, no query counted."""
+    #: Three hosts whose outgoing and incoming rows all differ.
+    GATHER_IDS = ["a", "b", "c"]
+    GATHER_OUT = np.arange(3 * DIMENSION, dtype=float).reshape(3, DIMENSION)
+    GATHER_IN = -GATHER_OUT - 1.0
+
+    def _gather_once(self, fields):
+        """Send one raw ``gather`` to a one-shard server holding
+        :attr:`GATHER_IDS`; return ``(response or error, queries
+        served by the gather)``."""
 
         async def scenario():
             async with ShardServer(
                 dimension=DIMENSION, shard_index=0, n_shards=1
             ) as server:
-                client = RemoteShardClient(*server.address)
+                client = RemoteShardClient(*server.address, retries=0)
                 try:
                     await client.call(
                         "put_many",
-                        {"ids": ["a"]},
-                        {
-                            "outgoing": np.ones((1, DIMENSION)),
-                            "incoming": np.ones((1, DIMENSION)),
-                        },
+                        {"ids": self.GATHER_IDS},
+                        {"outgoing": self.GATHER_OUT, "incoming": self.GATHER_IN},
                     )
-                    with pytest.raises(ValidationError, match="which"):
-                        await client.call(
-                            "gather", {"ids": ["a"], "which": "bogus"}
-                        )
-                    assert server.engine.queries_served == 0
+                    try:
+                        outcome = await client.call("gather", fields)
+                    except ValidationError as error:
+                        outcome = error
+                    # the connection keeps serving after a refusal
+                    await client.call("ping")
+                    return outcome, server.engine.queries_served
                 finally:
                     await client.close()
 
-        run(scenario())
+        return run(scenario())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"out": ["c", "a"]},
+            {"in": ["b", "c"]},
+            {"out": ["a", "b"], "in": ["b", "c"]},
+            {"out": [], "in": ["a"]},
+        ],
+        ids=["out-only", "in-only", "both-overlapping", "empty-list"],
+    )
+    def test_gather_answers_out_and_in_lists(self, fields):
+        """``out`` gets outgoing rows and ``in`` incoming rows, each in
+        request order; an empty list answers zero rows, and a list the
+        request leaves out gets no array."""
+        response, served = self._gather_once(fields)
+        rows = {host: index for index, host in enumerate(self.GATHER_IDS)}
+        expected = {
+            name: matrix[[rows[host] for host in fields[key]]]
+            for key, name, matrix in (
+                ("out", "outgoing", self.GATHER_OUT),
+                ("in", "incoming", self.GATHER_IN),
+            )
+            if key in fields
+        }
+        assert set(response.arrays) == set(expected)
+        for name, matrix in expected.items():
+            np.testing.assert_array_equal(response.array(name), matrix)
+        assert served == 1
+
+    def test_gather_unknown_id_is_named_and_not_counted(self):
+        error, served = self._gather_once({"out": ["a"], "in": ["ghost"]})
+        assert isinstance(error, ValidationError)
+        assert "'ghost'" in str(error)
+        assert served == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"ids": ["a"], "which": "out"},
+            {"out": "ab"},
+            {"in": 5},
+            {"out": ["a", 1.5]},
+            {"in": [["a"]]},
+        ],
+        ids=["neither", "ids-and-which", "out-str", "in-int", "out-float-item",
+             "in-list-item"],
+    )
+    def test_gather_rejects_malformed_lists_before_counting(self, fields):
+        """A gather that names neither list, or sends a list that is not
+        a list of str/int ids, is refused before it reads the store or
+        counts a query."""
+        error, served = self._gather_once(fields)
+        assert isinstance(error, ValidationError)
+        assert served == 0
 
     def test_unknown_operation_is_an_error_frame(self):
         async def scenario():
@@ -653,6 +714,37 @@ class TestRouterQueries:
             ids[2], 3, candidate_ids=ids[10:20]
         )
 
+    def test_pairs_sends_one_gather_per_shard(self, vectors, reference):
+        """Sources and destinations on every shard cost each shard one
+        ``gather``, not one per side."""
+        ids = vectors[0]
+        sources, destinations = ids[:12], ids[12:24]
+        for side in (sources, destinations):
+            assert {shard_of(host, 3) for host in side} == {0, 1, 2}
+
+        async def scenario():
+            async with _Cluster(3, vectors) as cluster:
+                before = [s.engine.queries_served for s in cluster.servers]
+                values = await cluster.router.pairs(sources, destinations)
+                after = [s.engine.queries_served for s in cluster.servers]
+                return values, [a - b for a, b in zip(after, before)]
+
+        values, served = run(scenario())
+        np.testing.assert_allclose(values, reference.pairs(sources, destinations))
+        assert served == [1, 1, 1]
+
+    def test_gather_returns_store_rows(self, vectors):
+        ids, outgoing, incoming = vectors
+        picks = [5, 0, 17, 33, 2, 5]
+
+        async def scenario():
+            async with _Cluster(3, vectors) as cluster:
+                return await cluster.router.gather([ids[p] for p in picks])
+
+        got_out, got_in = run(scenario())
+        np.testing.assert_array_equal(got_out, outgoing[picks])
+        np.testing.assert_array_equal(got_in, incoming[picks])
+
     def test_unknown_host_maps_to_validation_error(self, vectors):
         async def scenario():
             async with _Cluster(2, vectors) as cluster:
@@ -769,6 +861,26 @@ class TestFrontendOverRouter:
         assert nearest == reference.k_nearest(ids[7], 4)
         assert stats.completed == stats.submitted
         assert stats.batches >= 1
+
+    def test_coalesced_batch_sends_one_gather_per_shard(self, vectors, reference):
+        ids = vectors[0]
+        picks = list(zip(ids[:12], ids[12:24]))
+
+        async def scenario():
+            async with _Cluster(3, vectors) as cluster:
+                async with AsyncDistanceFrontend(cluster.router) as frontend:
+                    before = [s.engine.queries_served for s in cluster.servers]
+                    futures = [frontend.submit(s, d) for s, d in picks]
+                    values = [await future for future in futures]
+                    after = [s.engine.queries_served for s in cluster.servers]
+                    stats = frontend.stats()
+                return values, [a - b for a, b in zip(after, before)], stats
+
+        values, served, stats = run(scenario())
+        assert stats.batches == 1 and stats.completed == len(picks)
+        for (source, destination), value in zip(picks, values):
+            assert value == pytest.approx(reference.point(source, destination))
+        assert served == [1, 1, 1]
 
     def test_bad_request_fails_alone_in_coalesced_batch(self, vectors):
         ids = vectors[0]

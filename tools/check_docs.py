@@ -36,6 +36,14 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    handler does itself and what the ``ShardServer`` methods it calls
    do (``health_fields`` for ``health``).
 
+One more check runs over Python files, not docs:
+
+8. every ``*.md`` name mentioned in a Python file under ``src/`` or
+   directly in ``benchmarks/`` exists, either from the repository
+   root or from the file's own directory, so a docstring cannot cite
+   a page that was never written. ``tests/`` is left out: its
+   fixtures name fake pages on purpose.
+
 The checker is intentionally a plain script with a ``collect_errors``
 entry point: no test framework required, importable from the test
 suite, exit code 1 on any finding.
@@ -292,9 +300,6 @@ def check_names(path: Path, text: str) -> list[str]:
 SERVER_MODULE = REPO_ROOT / "src" / "repro" / "serving" / "transport" / "server.py"
 #: Calls through which a handler reads a request field.
 _FIELD_READERS = ("get", "_local_ids", "_scalar_id", "array")
-#: An enumeration of allowed values, such as "`which` ∈ `out`/`in`":
-#: values, not field names.
-_VALUE_LIST = re.compile(r"∈\s*`[^`]*`(?:\s*/\s*`[^`]*`)*")
 
 
 @functools.cache
@@ -392,8 +397,7 @@ def check_wire_ops(path: Path, text: str) -> list[str]:
     for op, row in rows.items():
         where = f"{path.name}:{_line_of(text, row.start())}: op `{op}`"
         reads, writes = surface[op]
-        request = _VALUE_LIST.sub("", row.group(2))
-        for field in re.findall(r"`(\w+)`", request):
+        for field in re.findall(r"`(\w+)`", row.group(2)):
             if field not in reads:
                 errors.append(
                     f"{where} documents request field `{field}`, which its "
@@ -409,8 +413,36 @@ def check_wire_ops(path: Path, text: str) -> list[str]:
     return errors
 
 
+#: A markdown file name such as ``docs/wire-protocol.md``; the
+#: lookbehind keeps URLs and longer names from matching in part.
+_MARKDOWN_NAME = re.compile(r"(?<![\w./:-])([\w./-]*\w\.md)\b")
+
+
+def python_sources() -> list[Path]:
+    """The Python files check 8 reads: ``src/`` and ``benchmarks/*.py``."""
+    return sorted((REPO_ROOT / "src").rglob("*.py")) + sorted(
+        (REPO_ROOT / "benchmarks").glob("*.py")
+    )
+
+
+def check_markdown_references(path: Path, text: str) -> list[str]:
+    """Every ``*.md`` name a Python file mentions must exist."""
+    where = path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
+    errors = []
+    for match in _MARKDOWN_NAME.finditer(text):
+        name = match.group(1)
+        if (REPO_ROOT / name).exists() or (path.parent / name).exists():
+            continue
+        errors.append(
+            f"{where}:{_line_of(text, match.start())}: mentions {name}, "
+            "which does not exist"
+        )
+    return errors
+
+
 def collect_errors() -> list[str]:
-    """All findings across all documentation files."""
+    """All findings across all documentation files, plus the markdown
+    names mentioned in Python sources."""
     errors = []
     for path in doc_files():
         text = path.read_text(encoding="utf-8")
@@ -421,6 +453,10 @@ def collect_errors() -> list[str]:
         errors.extend(check_axis_catalog(path, text))
         errors.extend(check_names(path, text))
         errors.extend(check_wire_ops(path, text))
+    for path in python_sources():
+        errors.extend(
+            check_markdown_references(path, path.read_text(encoding="utf-8"))
+        )
     return errors
 
 

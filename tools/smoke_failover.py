@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
                     client = RemoteShardClient(*target.address, timeout=5.0)
                     try:
                         response = await client.call(
-                            "gather", {"ids": slice_ids, "which": "both"}
+                            "gather", {"out": slice_ids, "in": slice_ids}
                         )
                         yield_out = np.array(response.array("outgoing"))
                         yield_in = np.array(response.array("incoming"))
