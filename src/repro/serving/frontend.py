@@ -2,10 +2,13 @@
 
 :class:`AsyncDistanceFrontend` is the concurrency tier of the serving
 stack. Many client coroutines submit point, one-to-many, pairs and
-k-nearest queries; a single dispatcher coroutine coalesces everything
-submitted in the same event-loop window into dense
-:class:`~repro.serving.engine.QueryEngine` batches and fans the
-results back to the awaiting callers.
+k-nearest queries; a single dispatcher coroutine coalesces what is
+submitted in the same event-loop window into batches and fans the
+results back to the awaiting callers. Each dispatch cycle sends all
+its point queries as one ``pairs`` call, all its k-nearest (k-NN)
+queries as one ``k_nearest_batch`` call and all its one-to-many (1:N)
+queries as one ``one_to_many_batch`` call; each ``query_pairs``
+request is its own ``pairs`` call.
 
 The dispatch rule is *drain-then-dispatch*: when work arrives, the
 dispatcher yields to the event loop exactly once — so every runnable
@@ -19,17 +22,18 @@ dispatch.
 
 Failure isolation: a batch containing an unknown host does not poison
 its neighbors — the dispatcher retries that batch per-request so only
-the offending futures receive the exception.
+the offending futures receive the exception. A request alone in its
+cycle is a batch of one and is sent once.
 
 Backends: the frontend dispatches into either a local synchronous
 :class:`~repro.serving.service.DistanceService` (engine calls execute
-inline on the event loop) or any *async backend* exposing coroutine
-``point`` / ``pairs`` / ``one_to_many`` / ``k_nearest`` methods —
-``point`` and ``pairs`` take a ``deadline`` keyword — plus the
-epoch-guarded cache surface (``cache``, a
-:class:`~repro.serving.cache.PredictionCache`; ``write_epoch``,
-``cache_put_if_current``, ``cache_put_many_if_current``) — in
-practice the cross-process
+inline on the event loop, a batch as a loop over them) or any *async
+backend* exposing coroutine ``point`` / ``pairs`` /
+``one_to_many_batch`` / ``k_nearest_batch`` methods — ``point`` and
+``pairs`` take a ``deadline`` keyword — plus the epoch-guarded cache
+surface (``cache``, a :class:`~repro.serving.cache.PredictionCache`;
+``write_epoch``, ``cache_put_if_current``,
+``cache_put_many_if_current``) — in practice the cross-process
 :class:`~repro.serving.transport.ShardedQueryRouter`, whose
 scatter-gather then overlaps network I/O across shards *within* each
 coalesced batch. Client-facing semantics are identical either way.
@@ -64,8 +68,11 @@ __all__ = ["AsyncDistanceFrontend", "FrontendStats"]
 
 _POINT = 0
 _PAIRS = 1
-_FANOUT = 2
+_ONE_TO_MANY = 2
 _NEAREST = 3
+
+#: Span of a k-NN or 1:N request served alone in its cycle.
+_SCAN_SPANS = {_ONE_TO_MANY: "frontend:one_to_many", _NEAREST: "frontend:k_nearest"}
 
 
 class _ServiceBackend:
@@ -104,13 +111,19 @@ class _ServiceBackend:
     async def pairs(self, source_ids, destination_ids, deadline=None):
         return self.service.engine.pairs(source_ids, destination_ids)
 
-    async def one_to_many(self, source_id, destination_ids):
-        return self.service.engine.one_to_many(source_id, destination_ids)
+    async def one_to_many_batch(self, source_ids, destination_ids):
+        engine = self.service.engine
+        return [
+            engine.one_to_many(source_id, destinations)
+            for source_id, destinations in zip(source_ids, destination_ids)
+        ]
 
-    async def k_nearest(self, source_id, k, candidate_ids=None):
-        return self.service.engine.k_nearest(
-            source_id, k, candidate_ids=candidate_ids
-        )
+    async def k_nearest_batch(self, source_ids, ks, candidate_ids):
+        engine = self.service.engine
+        return [
+            engine.k_nearest(source_id, k, candidate_ids=candidates)
+            for source_id, k, candidates in zip(source_ids, ks, candidate_ids)
+        ]
 
 
 def _as_backend(service):
@@ -121,7 +134,8 @@ def _as_backend(service):
         return service
     raise ValidationError(
         f"frontend backend {service!r} is neither a DistanceService nor an "
-        "async query backend (coroutine point/pairs/one_to_many/k_nearest)"
+        "async query backend (coroutine point/pairs/one_to_many_batch/"
+        "k_nearest_batch)"
     )
 
 
@@ -269,7 +283,7 @@ class AsyncDistanceFrontend:
                        "Requests that went through a dispatch batch.",
                        (), stats.coalesced),
                 Sample("ides_frontend_point_fallbacks_total", "counter",
-                       "Point queries re-sent individually after a "
+                       "Requests re-sent individually after a "
                        "multi-request batch failed.",
                        (), stats.point_fallbacks),
                 Sample("ides_frontend_max_batch_seen", "gauge",
@@ -443,7 +457,7 @@ class AsyncDistanceFrontend:
         """1:N fan-out executed inside the next dispatch cycle."""
         future = self._future()
         return await self._submit(
-            (_FANOUT, source_id, list(destination_ids),
+            (_ONE_TO_MANY, source_id, list(destination_ids),
              current_context(), future)
         )
 
@@ -454,6 +468,9 @@ class AsyncDistanceFrontend:
         candidate_ids: Sequence | None = None,
     ) -> list[tuple[object, float]]:
         """k-nearest query executed inside the next dispatch cycle."""
+        if candidate_ids is not None:
+            # listed once: a failed batch re-sends each member alone
+            candidate_ids = list(candidate_ids)
         future = self._future()
         return await self._submit(
             (_NEAREST, source_id, (k, candidate_ids),
@@ -502,18 +519,24 @@ class AsyncDistanceFrontend:
         self._coalesced += len(batch)
         self._max_batch_seen = max(self._max_batch_seen, len(batch))
 
-        points = [r for r in batch if r[0] == _POINT]
-        singles = [r for r in batch if r[0] != _POINT]
+        groups = {_POINT: [], _PAIRS: [], _ONE_TO_MANY: [], _NEAREST: []}
+        for request in batch:
+            groups[request[0]].append(request)
         # Everything in the cycle runs concurrently: with an async
-        # (router) backend the point batch and each pairs/1:N/k-NN
-        # request overlap their network rounds instead of paying them
-        # serially; with a sync service backend nothing actually
-        # yields, so execution order is unchanged. Failure isolation
-        # lives inside the tasks — none of them raises.
-        await asyncio.gather(
-            self._execute_points(points),
-            *(self._execute_single(request) for request in singles),
-        )
+        # (router) backend the point batch, the k-NN batch, the 1:N
+        # batch and each pairs request overlap their network rounds
+        # instead of paying them serially; with a sync service backend
+        # nothing actually yields, so execution order is unchanged.
+        # Empty groups get no coroutine. Failure isolation lives inside
+        # the tasks — none of them raises.
+        work = []
+        if groups[_POINT]:
+            work.append(self._execute_points(groups[_POINT]))
+        for kind in (_ONE_TO_MANY, _NEAREST):
+            if groups[kind]:
+                work.append(self._execute_scans(kind, groups[kind]))
+        work.extend(self._execute_pairs(request) for request in groups[_PAIRS])
+        await asyncio.gather(*work)
 
     def _shed_expired(self, points: list[tuple]) -> list[tuple]:
         """Drop queued requests whose budget ran out while they waited.
@@ -635,35 +658,83 @@ class AsyncDistanceFrontend:
                     epoch, source_id, destination_id, value
                 )
 
-    async def _execute_single(self, request: tuple) -> None:
-        kind, first, second, context, future = request
+    async def _execute_pairs(self, request: tuple) -> None:
+        """One ``query_pairs`` request: its own backend ``pairs`` call."""
+        _, sources, destinations, context, future = request
         self._completed += 1
         if future.cancelled():
             return
-        tracer = get_tracer()
         try:
-            if kind == _PAIRS:
-                with tracer.span("frontend:pairs", parent=context):
-                    result = await self._backend.pairs(first, second)
-            elif kind == _FANOUT:
-                with tracer.span("frontend:one_to_many", parent=context):
-                    result = await self._backend.one_to_many(first, second)
-            elif kind == _NEAREST:
-                k, candidates = second
-                with tracer.span("frontend:k_nearest", parent=context):
-                    result = await self._backend.k_nearest(
-                        first, k, candidate_ids=candidates
-                    )
-            else:  # pragma: no cover - defensive
-                if not future.done():
-                    future.set_exception(ReproError(f"unknown request kind {kind}"))
-                return
+            with get_tracer().span("frontend:pairs", parent=context):
+                result = await self._backend.pairs(sources, destinations)
         except Exception as error:  # noqa: BLE001 - per-request fate
             if not future.done():
                 future.set_exception(error)
         else:
             if not future.done():
                 future.set_result(result)
+
+    async def _execute_scans(self, kind: int, requests: list[tuple]) -> None:
+        """The cycle's k-NN (or 1:N) requests: one backend batch call.
+
+        A request alone in its cycle is a batch of one under its own
+        ``frontend:k_nearest`` / ``frontend:one_to_many`` span. Two or
+        more run inside one sized ``frontend:batch`` span, and when
+        that batch raises every member is re-sent alone, the re-sends
+        side by side, so only the offending futures get the exception
+        and the cycle pays one extra round, not one per member.
+        """
+        self._completed += len(requests)
+        live = [request for request in requests if not request[-1].done()]
+        if not live:
+            return
+        if len(live) == 1:
+            await self._resolve_scan(kind, live[0])
+            return
+        try:
+            with get_tracer().span(
+                "frontend:batch", parent=live[0][3],
+                attributes={"size": len(live)},
+            ):
+                results = await self._scan_batch(kind, live)
+        except Exception:  # noqa: BLE001 - fall back to per-request fate
+            retry = [request for request in live if not request[-1].done()]
+            self._point_fallbacks += len(retry)
+            await asyncio.gather(
+                *(self._resolve_scan(kind, request) for request in retry)
+            )
+            return
+        for request, result in zip(live, results):
+            future = request[-1]
+            if not future.done():
+                future.set_result(result)
+
+    async def _resolve_scan(self, kind: int, request: tuple) -> None:
+        """Send one k-NN or 1:N request as a batch of one and settle its
+        future in place."""
+        future = request[-1]
+        try:
+            with get_tracer().span(_SCAN_SPANS[kind], parent=request[3]):
+                [result] = await self._scan_batch(kind, [request])
+        except Exception as error:  # noqa: BLE001 - per-request fate
+            if not future.done():
+                future.set_exception(error)
+        else:
+            if not future.done():
+                future.set_result(result)
+
+    def _scan_batch(self, kind: int, requests: list[tuple]):
+        """The backend batch call answering ``requests``, all of ``kind``."""
+        sources = [request[1] for request in requests]
+        if kind == _ONE_TO_MANY:
+            return self._backend.one_to_many_batch(
+                sources, [request[2] for request in requests]
+            )
+        return self._backend.k_nearest_batch(
+            sources,
+            [request[2][0] for request in requests],
+            [request[2][1] for request in requests],
+        )
 
     # ------------------------------------------------------------------ #
     # introspection

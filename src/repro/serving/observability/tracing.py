@@ -5,6 +5,9 @@ boundaries::
 
     frontend:k_nearest                (frontend process, root)
       router:k_nearest                (same process, scatter-gather)
+        rpc:gather   shard=1          (the source row's fetch)
+          server:gather               (shard process 1)
+            engine:gather
         rpc:nearest  shard=0          (one per _ShardConnection RPC)
           server:nearest              (shard process 0)
             engine:nearest            (store/engine time)

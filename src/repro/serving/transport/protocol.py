@@ -7,7 +7,7 @@ implementation). The short version::
 
     offset  size  field
     0       4     magic  b"IDES"
-    4       1     protocol version (always 3)
+    4       1     protocol version (always 4)
     5       1     flags (reserved, must be 0)
     6       2     request id
     8       4     header length H, big-endian unsigned
@@ -80,9 +80,10 @@ __all__ = [
 
 MAGIC = b"IDES"
 
-#: The one wire version: request-id framing, pipelining, and a
-#: ``gather`` that carries separate ``out`` and ``in`` id lists.
-PROTOCOL_VERSION = 3
+#: The one wire version: request-id framing, pipelining, a ``gather``
+#: that carries separate ``out`` and ``in`` id lists, and a ``nearest``
+#: that carries one source row per query.
+PROTOCOL_VERSION = 4
 
 #: Request ids are the prelude's 16-bit field; id 0 is valid (error
 #: frames for requests that never decoded carry it).

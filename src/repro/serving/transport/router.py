@@ -14,21 +14,27 @@ Query plans (each line is one concurrent round):
 * ``pairs``   — one ``gather`` per shard holding any source or
   destination, carrying its sources in ``out`` and its destinations
   in ``in``, then one local einsum. One round.
-* ``one_to_many`` — fetch the source's outgoing vector from its home
-  shard (a ``gather`` with only ``out``), then scatter a ``fanout``
-  RPC (vector inline) to every shard holding destinations; each shard
-  answers with its local dot products. Two rounds.
-* ``k_nearest``   — fetch the source vector, then scatter a
-  ``nearest`` RPC to every candidate-holding shard; each shard returns
-  its local top-k and the router merges. Two rounds.
+* ``one_to_many_batch`` — the same single ``gather`` round for every
+  query's source (``out``) and destinations (``in``), then one local
+  dot product per query: the paper's own recipe (Section 3) of
+  retrieving the vectors and calculating the dot product. One round
+  for the whole batch.
+* ``k_nearest_batch`` — one ``gather`` round for every query's source
+  row, then one ``nearest`` RPC per candidate-holding shard carrying
+  all of those rows; each shard returns its local top-k for each
+  query and the router merges them. Two rounds for the whole batch.
+
+``one_to_many`` and ``k_nearest`` are batches of one.
 
 The router also carries the surface
 :class:`~repro.serving.frontend.AsyncDistanceFrontend` dispatches into
-(`point`/`pairs`/`one_to_many`/`k_nearest` plus a local
+(`point`/`pairs`/`one_to_many_batch`/`k_nearest_batch` plus a local
 :class:`~repro.serving.cache.PredictionCache` with the same
 epoch-guarded write discipline as
 :class:`~repro.serving.service.DistanceService`), so a frontend can sit
-on a remote cluster without its callers changing a line.
+on a remote cluster without its callers changing a line. The frontend
+sends each dispatch cycle's k-NN queries as one ``k_nearest_batch``
+and its 1:N queries as one ``one_to_many_batch``.
 
 Failure isolation: a dark shard surfaces as
 :class:`~repro.exceptions.ShardUnavailableError` on exactly the
@@ -352,8 +358,8 @@ class ShardedQueryRouter:
         dimension = await self._require_dimension()
         outgoing = np.zeros((len(out_ids), dimension))
         incoming = np.zeros((len(in_ids), dimension))
-        out_groups = group_by_shard(out_ids, self.n_shards)
-        in_groups = group_by_shard(in_ids, self.n_shards)
+        out_groups = group_by_shard(out_ids, self.n_shards) if out_ids else {}
+        in_groups = group_by_shard(in_ids, self.n_shards) if in_ids else {}
         shards = sorted(out_groups.keys() | in_groups.keys())
 
         async def fetch(shard_index: int):
@@ -430,27 +436,34 @@ class ShardedQueryRouter:
     async def one_to_many(
         self, source_id: object, destination_ids: Sequence
     ) -> np.ndarray:
-        """1:N fan-out: ship the source vector, dot on the shards."""
-        destination_ids = list(destination_ids)
+        """1:N distances: :meth:`one_to_many_batch` with one query."""
+        return (await self.one_to_many_batch([source_id], [destination_ids]))[0]
+
+    async def one_to_many_batch(
+        self, source_ids: Sequence, destination_ids: Sequence[Sequence]
+    ) -> list[np.ndarray]:
+        """Several 1:N queries in one round: ``result[j]`` holds the
+        distances from ``source_ids[j]`` to each of
+        ``destination_ids[j]``. One ``gather`` per shard fetches every
+        source's outgoing row and every destination's incoming row; the
+        dot products run here."""
+        destination_ids = [list(hosts) for hosts in destination_ids]
+        if len(source_ids) != len(destination_ids):
+            raise ValidationError(
+                f"one_to_many_batch needs one destination list per source, "
+                f"got {len(source_ids)} sources and {len(destination_ids)} lists"
+            )
         with self._observe("one_to_many"):
-            source_out = await self._source_vector(source_id)
-            values = np.zeros(len(destination_ids))
-            groups = group_by_shard(destination_ids, self.n_shards)
-
-            async def fanout(shard_index: int, positions: np.ndarray):
-                response = await self.clients[shard_index].call(
-                    "fanout",
-                    {"dests": [destination_ids[p] for p in positions]},
-                    {"source_out": source_out},
-                )
-                return positions, response.array("values")
-
-            for positions, shard_values in await asyncio.gather(
-                *(fanout(shard, positions) for shard, positions in groups.items())
-            ):
-                values[positions] = shard_values
-            self._count(len(destination_ids))
-            return values
+            flat = [host for hosts in destination_ids for host in hosts]
+            outgoing, incoming = await self._gather_rows(source_ids, flat)
+            results = []
+            start = 0
+            for source_out, hosts in zip(outgoing, destination_ids):
+                stop = start + len(hosts)
+                results.append(incoming[start:stop] @ source_out)
+                start = stop
+            self._count(len(flat))
+            return results
 
     async def many_to_many(
         self, source_ids: Sequence, destination_ids: Sequence
@@ -469,42 +482,87 @@ class ShardedQueryRouter:
         k: int,
         candidate_ids: Sequence | None = None,
     ) -> list[tuple[object, float]]:
-        """Global k-nearest: per-shard local top-k, merged at the router."""
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        with self._observe("k_nearest"):
-            source_out = await self._source_vector(source_id)
-            if candidate_ids is None:
-                targets = {
-                    shard_index: None for shard_index in range(self.n_shards)
-                }
-            else:
-                candidates = list(candidate_ids)
-                groups = group_by_shard(candidates, self.n_shards)
-                targets = {
-                    shard_index: [candidates[p] for p in positions]
-                    for shard_index, positions in groups.items()
-                }
+        """Global k-nearest: :meth:`k_nearest_batch` with one query."""
+        return (await self.k_nearest_batch([source_id], [k], [candidate_ids]))[0]
 
-            async def nearest(shard_index: int, shard_candidates):
-                fields = {"k": int(k), "exclude": source_id}
-                if shard_candidates is not None:
-                    fields["candidates"] = shard_candidates
+    async def k_nearest_batch(
+        self,
+        source_ids: Sequence,
+        ks: Sequence[int],
+        candidate_ids: Sequence[Sequence | None],
+    ) -> list[list[tuple[object, float]]]:
+        """Several global k-nearest queries, each excluding its source.
+
+        ``result[j]`` answers ``source_ids[j]`` with ``ks[j]`` neighbors
+        from ``candidate_ids[j]`` (None: every host). One ``gather``
+        round fetches every source row; then each shard holding
+        candidates gets one ``nearest`` RPC carrying all of them and
+        returns its local top-k per query, merged here with a stable
+        sort in shard order.
+        """
+        source_ids = list(source_ids)
+        ks = [int(k) for k in ks]
+        candidate_ids = list(candidate_ids)
+        if not len(source_ids) == len(ks) == len(candidate_ids):
+            raise ValidationError(
+                f"k_nearest_batch needs one k and one candidate pool per "
+                f"source, got {len(source_ids)} sources, {len(ks)} ks and "
+                f"{len(candidate_ids)} pools"
+            )
+        for k in ks:
+            if k < 1:
+                raise ValidationError(f"k must be >= 1, got {k}")
+        with self._observe("k_nearest"):
+            source_out, _ = await self._gather_rows(source_ids, ())
+            pools = None
+            targets = range(self.n_shards)
+            if any(candidates is not None for candidates in candidate_ids):
+                pools = self._pools_by_shard(candidate_ids)
+                targets = [
+                    shard for shard, entries in pools.items()
+                    if any(pool is None or pool for pool in entries)
+                ]
+
+            async def nearest(shard_index: int) -> list[list[tuple]]:
+                fields = {"k": ks, "exclude": source_ids}
+                if pools is not None:
+                    fields["candidates"] = pools[shard_index]
                 response = await self.clients[shard_index].call(
                     "nearest", fields, {"source_out": source_out}
                 )
-                return list(
-                    zip(response.fields["ids"], response.array("values").tolist())
-                )
+                values = response.array("values").tolist()
+                answers, start = [], 0
+                for ids in response.fields["ids"]:
+                    stop = start + len(ids)
+                    answers.append(list(zip(ids, values[start:stop])))
+                    start = stop
+                return answers
 
-            per_shard = await asyncio.gather(
-                *(nearest(shard, shard_candidates)
-                  for shard, shard_candidates in targets.items())
-            )
-            merged = [entry for shard_list in per_shard for entry in shard_list]
-            merged.sort(key=lambda entry: entry[1])
-            self._count(len(merged))
-            return merged[:k]
+            per_shard = await asyncio.gather(*(nearest(s) for s in targets))
+            results = []
+            scanned = 0
+            for j, k in enumerate(ks):
+                merged = [entry for answers in per_shard for entry in answers[j]]
+                merged.sort(key=lambda entry: entry[1])
+                scanned += len(merged)
+                results.append(merged[:k])
+            self._count(scanned)
+            return results
+
+    def _pools_by_shard(self, candidate_ids: list) -> dict[int, list]:
+        """``pools[shard][j]``: query ``j``'s candidates that live on
+        ``shard``, or None where query ``j`` scans every host."""
+        pools = {shard: [] for shard in range(self.n_shards)}
+        for candidates in candidate_ids:
+            if candidates is None:
+                for entries in pools.values():
+                    entries.append(None)
+                continue
+            candidates = list(candidates)
+            groups = group_by_shard(candidates, self.n_shards)
+            for shard, entries in pools.items():
+                entries.append([candidates[p] for p in groups.get(shard, ())])
+        return pools
 
     async def known_hosts(self) -> list:
         """Every identifier stored across the cluster."""
@@ -515,15 +573,6 @@ class ShardedQueryRouter:
         for response in responses:
             collected.extend(response.fields["ids"])
         return collected
-
-    async def _source_vector(self, source_id: object) -> np.ndarray:
-        # One id on one known shard: a direct call. Going through
-        # _gather_rows (a task, grouping, a row scatter) cost about 13%
-        # more CPU per scan_closed op on a 2-vCPU VM.
-        response = await self.client_for(source_id).call(
-            "gather", {"out": [source_id]}
-        )
-        return response.array("outgoing")[0]
 
     async def _require_dimension(self) -> int:
         if self.dimension is None:

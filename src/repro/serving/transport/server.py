@@ -48,6 +48,8 @@ import queue
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..observability.httpd import TelemetryServer
 from ..observability.metrics import Sample, get_registry
 from ..observability.tracing import TraceContext, configure_tracing, get_tracer
@@ -75,14 +77,40 @@ from .protocol import (
 __all__ = ["ShardServer", "ShardProcess", "run_shard_server", "spawn_shard_process"]
 
 
+def _is_wire_id(value) -> bool:
+    return isinstance(value, (str, int))
+
+
 def _check_wire_ids(host_ids: list) -> list:
     for host_id in host_ids:
-        if not isinstance(host_id, (str, int)):
+        if not _is_wire_id(host_id):
             raise ValidationError(
                 f"host id {host_id!r} is not wire-representable; the "
                 "transport supports only str or int identifiers"
             )
     return host_ids
+
+
+def _is_wire_id_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_wire_id, value))
+
+
+def _per_query(entries, name: str, m: int, valid, what: str) -> list:
+    """A ``nearest`` field holding one entry per query: ``m`` entries,
+    each null or passing ``valid``; ``m`` nulls when the request leaves
+    the field out."""
+    if entries is None:
+        return [None] * m
+    if not (
+        isinstance(entries, list)
+        and len(entries) == m
+        and all(entry is None or valid(entry) for entry in entries)
+    ):
+        raise ValidationError(
+            f"nearest {name!r} must be a list of {m} entries, each {what} "
+            f"or null, got {entries!r}"
+        )
+    return entries
 
 
 class ShardServer:
@@ -612,7 +640,7 @@ class ShardServer:
 
     def _scalar_id(self, message: Message, key: str) -> object:
         host_id = message.fields.get(key)
-        if not isinstance(host_id, (str, int)):
+        if not _is_wire_id(host_id):
             raise ValidationError(
                 f"operation needs a str/int field {key!r}, got {host_id!r}"
             )
@@ -726,42 +754,49 @@ class ShardServer:
         destinations = self._local_ids(message, "dests")
         return {}, {"values": self.engine.pairs(sources, destinations)}
 
-    def _op_fanout(self, message: Message) -> tuple[dict, dict]:
-        """One-to-many with the source vector shipped in the request —
-        the cross-shard form: the router fetched the source's outgoing
-        vector from its home shard and scatters it to every shard
-        holding destinations."""
-        destinations = self._local_ids(message, "dests")
-        source_out = message.array("source_out")
-        if source_out.shape != (self.store.dimension,):
-            raise ValidationError(
-                f"source_out must have shape ({self.store.dimension},), "
-                f"got {source_out.shape}"
-            )
-        _, incoming = self.store.gather(destinations, copy=False)
-        self.engine.count_served(len(destinations))
-        return {}, {"values": incoming @ source_out}
-
     def _op_nearest(self, message: Message) -> tuple[dict, dict]:
-        """Local top-k among this shard's hosts; the router merges the
-        per-shard candidate lists into the global answer."""
-        k = message.fields.get("k")
-        if not isinstance(k, int) or k < 1:
-            raise ValidationError(f"nearest needs an int field 'k' >= 1, got {k!r}")
+        """Local top-k among this shard's hosts for each of ``m`` source
+        vectors: one routed k-NN batch, which the router merges across
+        shards. Every field, and every candidate pool's hosts, is
+        checked before the first scan, so a request that fails counts
+        no work; each query is then one ``engine.nearest`` call,
+        exactly as a batch of one."""
         source_out = message.array("source_out")
-        if source_out.shape != (self.store.dimension,):
+        if source_out.ndim != 2 or source_out.shape[1] != self.store.dimension:
             raise ValidationError(
-                f"source_out must have shape ({self.store.dimension},), "
-                f"got {source_out.shape}"
+                f"nearest needs 'source_out' of shape (m, "
+                f"{self.store.dimension}), got {source_out.shape}"
             )
-        candidates = message.fields.get("candidates")
-        if candidates is not None:
-            candidates = self._local_ids(message, "candidates")
-        exclude = message.fields.get("exclude")
-        if exclude is not None:
-            exclude = self._scalar_id(message, "exclude")
-        ids, distances = self.engine.nearest(source_out, k, candidates, exclude)
-        return {"ids": ids}, {"values": distances}
+        m = source_out.shape[0]
+        k = message.fields.get("k")
+        if not (
+            isinstance(k, list)
+            and len(k) == m
+            and all(isinstance(count, int) and count >= 1 for count in k)
+        ):
+            raise ValidationError(
+                f"nearest needs 'k', a list of {m} ints >= 1, got {k!r}"
+            )
+        exclude = _per_query(
+            message.fields.get("exclude"), "exclude", m, _is_wire_id,
+            "a str/int id",
+        )
+        candidates = _per_query(
+            message.fields.get("candidates"), "candidates", m, _is_wire_id_list,
+            "a list of str/int ids",
+        )
+        for pool, skip in zip(candidates, exclude):
+            for host_id in pool or ():
+                # engine.nearest drops the excluded id before it gathers
+                if host_id != skip and host_id not in self.store:
+                    raise ValidationError(f"unknown host {host_id!r}")
+        ids, distances = [], []
+        for row, count, pool, skip in zip(source_out, k, candidates, exclude):
+            found, values = self.engine.nearest(row, count, pool, skip)
+            ids.append(found)
+            distances.append(values)
+        values = np.concatenate(distances) if distances else np.zeros(0)
+        return {"ids": ids}, {"values": values}
 
     def _op_export(self, message: Message) -> tuple[dict, dict]:
         ids, outgoing, incoming = self.store.export()
@@ -832,7 +867,6 @@ class ShardServer:
         "ids": _op_ids,
         "point": _op_point,
         "pairs": _op_pairs,
-        "fanout": _op_fanout,
         "nearest": _op_nearest,
         "export": _op_export,
         "health": _op_health,

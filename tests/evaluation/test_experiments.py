@@ -175,6 +175,32 @@ class TestNewAblations:
             assert all(np.isfinite(v) for v in series)
             assert "mean_error" in result.data[regime]
 
+    def test_staleness_notes_state_the_data(self):
+        """Each regime's note quotes its time-averaged and last-step
+        median errors, and names the lowest of each, as in the data."""
+        import re
+
+        from repro.evaluation.experiments.staleness import run as run_staleness
+
+        result = run_staleness(fast=True)
+        assert len(result.notes) == 2
+        for regime, note in zip(("mild", "heavy"), result.notes):
+            data = result.data[regime]
+            averages = data["mean_error"]
+            last = {policy: data[policy][-1] for policy in averages}
+            assert note.startswith(f"{regime} drift:")
+            assert f"at the last step ({data['steps'][-1]})" in note
+            policies = "|".join(averages)
+            assert re.findall(rf"({policies}) (\d+\.\d{{3}})", note) == [
+                (policy, f"{value:.3f}")
+                for errors in (averages, last)
+                for policy, value in errors.items()
+            ]
+            lowest = re.findall(r"\(lowest: ([\w ]+)\)", note)
+            assert lowest == [
+                min(errors, key=errors.get) for errors in (averages, last)
+            ]
+
     def test_robust_placement_vs_liars(self):
         from repro.evaluation.experiments.ablations import run_robust
 

@@ -1,6 +1,7 @@
 """Tests for the concurrent micro-batching frontend."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,55 @@ class TestCorrectness:
         assert fanout.shape == (2,)
         assert len(nearest) == 3
         assert pairs.shape == (1,)
+
+    def test_scan_batches_in_one_cycle_match_the_engine(self, service):
+        """Several k-NN and 1:N requests, with points and a pairs
+        request, in one cycle: each scan kind is one backend batch, and
+        every answer equals the engine's own."""
+        knn = [("h1", 3, None), ("h2", 4, ["h5", "h6", "h7"]), ("h3", 2, [])]
+        fanouts = [("h4", ["h8", "h9"]), ("h5", []), ("h6", ["h1", "h2", "h3"])]
+
+        async def scenario():
+            async with AsyncDistanceFrontend(service) as frontend:
+                answers = await asyncio.gather(
+                    frontend.query("h1", "h2"),
+                    *(frontend.k_nearest(s, k, c) for s, k, c in knn),
+                    *(frontend.query_one_to_many(s, d) for s, d in fanouts),
+                    frontend.query_pairs(["h7"], ["h8"]),
+                )
+                return answers, frontend.stats()
+
+        answers, stats = run(scenario())
+        assert stats.batches == 1 and stats.completed == 8
+        assert answers[0] == pytest.approx(service.engine.point("h1", "h2"))
+        for (source, k, candidates), answer in zip(knn, answers[1:4]):
+            assert answer == service.engine.k_nearest(
+                source, k, candidate_ids=candidates
+            )
+        for (source, hosts), answer in zip(fanouts, answers[4:7]):
+            np.testing.assert_array_equal(
+                answer, service.engine.one_to_many(source, hosts)
+            )
+        np.testing.assert_allclose(
+            answers[7], service.engine.pairs(["h7"], ["h8"])
+        )
+
+    def test_candidate_generator_survives_a_failed_batch(self, service):
+        """A k-NN pool given as a generator still answers when its
+        cycle's batch fails and the request is re-sent alone."""
+        pool = [f"h{i}" for i in range(2, 8)]
+
+        async def scenario():
+            async with AsyncDistanceFrontend(service) as frontend:
+                return await asyncio.gather(
+                    frontend.k_nearest("h1", 2, (host for host in pool)),
+                    frontend.k_nearest("missing", 2),
+                    return_exceptions=True,
+                )
+
+        good, bad = run(scenario())
+        assert isinstance(bad, ValidationError)
+        assert good == service.engine.k_nearest("h1", 2, candidate_ids=pool)
 
 
 class TestCoalescing:
@@ -354,6 +404,36 @@ class TestFailureIsolation:
         assert stats.completed == stats.submitted == 1
         assert stats.point_fallbacks == 0
 
+    @pytest.mark.parametrize("kind", ["k_nearest", "one_to_many"])
+    def test_failed_scan_batch_resends_its_members_side_by_side(self, kind):
+        """When a cycle's scan batch fails, its members are re-sent
+        alone and all at once: the cycle costs about one slow single
+        call, not one per member, and every member gets its answer."""
+        backend = _SlowSingleScanBackend(delay=0.2)
+        sources = list(range(6))
+
+        async def scenario():
+            async with AsyncDistanceFrontend(backend) as frontend:
+
+                def send(source):
+                    if kind == "k_nearest":
+                        return frontend.k_nearest(source, 1)
+                    return frontend.query_one_to_many(source, ["d"])
+
+                started = time.perf_counter()
+                answers = await asyncio.gather(*map(send, sources))
+                return answers, time.perf_counter() - started, frontend.stats()
+
+        answers, elapsed, stats = run(scenario())
+        assert backend.peak_in_flight == len(sources)
+        assert elapsed < 3 * backend.delay
+        assert stats.point_fallbacks == len(sources)
+        for source, answer in zip(sources, answers):
+            if kind == "k_nearest":
+                assert answer == [(source, 0.0)]
+            else:
+                np.testing.assert_array_equal(answer, [float(source)])
+
 
 class _FailingBackend:
     """Async backend whose every read raises ``error``; records calls."""
@@ -378,8 +458,38 @@ class _FailingBackend:
         self.calls.append("pairs")
         raise self.error
 
-    async def one_to_many(self, source_id, destination_ids):
+    async def one_to_many_batch(self, source_ids, destination_ids):
         raise self.error
 
-    async def k_nearest(self, source_id, k, candidate_ids=None):
+    async def k_nearest_batch(self, source_ids, ks, candidate_ids):
         raise self.error
+
+
+class _SlowSingleScanBackend(_FailingBackend):
+    """Async backend whose scan batches of two or more raise
+    :class:`OverloadedError` and whose batches of one answer after
+    ``delay`` seconds; records the most single scans in flight at once."""
+
+    def __init__(self, delay):
+        super().__init__(OverloadedError("batch refused"))
+        self.delay = delay
+        self.in_flight = 0
+        self.peak_in_flight = 0
+
+    async def _single(self, n_queries, answer):
+        if n_queries > 1:
+            raise self.error
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        try:
+            await asyncio.sleep(self.delay)
+        finally:
+            self.in_flight -= 1
+        return [answer]
+
+    async def one_to_many_batch(self, source_ids, destination_ids):
+        answer = np.full(len(destination_ids[0]), float(source_ids[0]))
+        return await self._single(len(source_ids), answer)
+
+    async def k_nearest_batch(self, source_ids, ks, candidate_ids):
+        return await self._single(len(source_ids), [(source_ids[0], 0.0)])

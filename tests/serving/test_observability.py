@@ -388,6 +388,35 @@ class TestFrontendTracing:
             assert span["trace_id"] == root.context.trace_id
             assert span["parent_id"] == root.context.span_id
 
+    def test_scan_cycle_runs_in_one_batch_span(self):
+        """A cycle of k-NN requests is one sized ``frontend:batch``
+        span; a k-NN request alone in its cycle keeps its
+        ``frontend:k_nearest`` span."""
+        service = build_service()
+        ids = service.known_hosts()
+        tracer = configure_tracing(enabled=True, service="frontend-test")
+
+        async def scenario():
+            async with AsyncDistanceFrontend(service) as frontend:
+                with tracer.span("client:request") as root:
+                    await asyncio.gather(
+                        *(frontend.k_nearest(ids[i], 3) for i in range(3))
+                    )
+                    await frontend.k_nearest(ids[5], 3)
+                return root
+
+        root = run(scenario())
+        spans = [
+            span for span in tracer.tail(limit=100)
+            if span["name"].startswith("frontend:")
+        ]
+        assert [span["name"] for span in spans] == [
+            "frontend:batch", "frontend:k_nearest"
+        ]
+        assert spans[0]["attributes"]["size"] == 3
+        for span in spans:
+            assert span["parent_id"] == root.context.span_id
+
 
 # --------------------------------------------------------------------- #
 # per-sink failure attribution

@@ -202,10 +202,10 @@ class _SaturatedBackend:
         self.calls += 1
         raise OverloadedError("shard saturated", retry_after=0.05)
 
-    async def one_to_many(self, source_id, destination_ids):
+    async def one_to_many_batch(self, source_ids, destination_ids):
         raise OverloadedError("shard saturated")
 
-    async def k_nearest(self, source_id, k, candidate_ids=None):
+    async def k_nearest_batch(self, source_ids, ks, candidate_ids):
         raise OverloadedError("shard saturated")
 
 
@@ -304,11 +304,11 @@ class _DeadlineRecorder:
         self.received.append(("pairs", deadline))
         return np.ones(len(source_ids))
 
-    async def one_to_many(self, source_id, destination_ids):
-        return np.ones(len(destination_ids))
+    async def one_to_many_batch(self, source_ids, destination_ids):
+        return [np.ones(len(hosts)) for hosts in destination_ids]
 
-    async def k_nearest(self, source_id, k, candidate_ids=None):
-        return []
+    async def k_nearest_batch(self, source_ids, ks, candidate_ids):
+        return [[] for _ in source_ids]
 
 
 async def _submit_all(backend, deadlines):

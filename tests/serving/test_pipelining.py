@@ -2,7 +2,7 @@
 
 Covers the request-id framing property-wise (interleaved and
 out-of-order response streams must resolve every caller correctly),
-the refusal of any version byte other than 3, and the chaos path: a
+the refusal of any version byte other than 4, and the chaos path: a
 shard killed mid-pipeline must reject every pending future exactly
 once, and a closed client must fail in-flight calls fast instead of
 letting them hang until their timeout.
@@ -201,7 +201,7 @@ def _ping_frame_with_version(version: int) -> bytes:
 
 
 class TestSingleVersion:
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_decode_rejects_any_other_version_byte(self, version):
         with pytest.raises(ProtocolError, match="unsupported protocol version"):
             decode_frame(_ping_frame_with_version(version))

@@ -352,41 +352,141 @@ class TestShardServerRpc:
 
         run(scenario())
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"k": "abc"},
-            {"k": 2.9},
-            {"k": 2, "candidates": "ab"},
-            {"k": 2, "candidates": 5},
-            {"k": 2, "exclude": [1]},
-        ],
-        ids=["k-str", "k-float", "candidates-str", "candidates-int", "exclude-list"],
-    )
-    def test_nearest_rejects_malformed_fields(self, fields):
-        """Each malformed field is a ValidationError frame naming it; the
-        connection keeps serving."""
-        field = list(fields)[-1]
+    #: Hosts of the one-shard server the ``nearest`` tests talk to.
+    NEAREST_IDS = ["a", "b", "c", 7, "e", 9]
+    NEAREST_OUT = np.random.default_rng(3).random((6, DIMENSION))
+    NEAREST_IN = np.random.default_rng(4).random((6, DIMENSION))
+
+    def _nearest_once(self, fields, source_out):
+        """Send one raw ``nearest`` to a one-shard server holding
+        :attr:`NEAREST_IDS`; return ``(response or error, queries the
+        request counted)``. A valid request on the same connection is
+        answered afterwards."""
 
         async def scenario():
             async with ShardServer(
                 dimension=DIMENSION, shard_index=0, n_shards=1
             ) as server:
-                client = RemoteShardClient(*server.address)
-                source = {"source_out": np.ones(DIMENSION)}
+                client = RemoteShardClient(*server.address, retries=0)
                 try:
                     await client.call(
                         "put_many",
-                        {"ids": ["a", "b"]},
-                        {
-                            "outgoing": np.ones((2, DIMENSION)),
-                            "incoming": np.ones((2, DIMENSION)),
-                        },
+                        {"ids": self.NEAREST_IDS},
+                        {"outgoing": self.NEAREST_OUT, "incoming": self.NEAREST_IN},
                     )
-                    with pytest.raises(ValidationError, match=repr(field)):
-                        await client.call("nearest", fields, source)
-                    response = await client.call("nearest", {"k": 2}, source)
-                    assert response.fields["ids"] == ["a", "b"]
+                    try:
+                        outcome = await client.call(
+                            "nearest", fields, {"source_out": source_out}
+                        )
+                    except ValidationError as error:
+                        outcome = error
+                    served = server.engine.queries_served
+                    # the connection keeps serving after a refusal
+                    follow_up = await client.call(
+                        "nearest", {"k": [2]}, {"source_out": np.ones((1, DIMENSION))}
+                    )
+                    assert len(follow_up.fields["ids"]) == 1
+                    return outcome, served
+                finally:
+                    await client.close()
+
+        return run(scenario())
+
+    @pytest.mark.parametrize(
+        "fields, rows, field",
+        [
+            ({"k": "abc"}, 2, "k"),
+            ({"k": [2, 2.9]}, 2, "k"),
+            ({"k": 2}, 1, "k"),
+            ({"k": [2]}, 2, "k"),
+            ({"k": [2, 0]}, 2, "k"),
+            ({"k": [2]}, None, "source_out"),
+            ({"k": [2]}, "wide", "source_out"),
+            ({"k": [2, 2], "candidates": "ab"}, 2, "candidates"),
+            ({"k": [2, 2], "candidates": 5}, 2, "candidates"),
+            ({"k": [2, 2], "candidates": [None]}, 2, "candidates"),
+            ({"k": [2, 2], "candidates": ["ab", None]}, 2, "candidates"),
+            ({"k": [2, 2], "candidates": [[1.5], None]}, 2, "candidates"),
+            ({"k": [2, 2], "exclude": [["a"], None]}, 2, "exclude"),
+            ({"k": [2], "exclude": "a"}, 1, "exclude"),
+            ({"k": [2, 2], "exclude": ["a"]}, 2, "exclude"),
+        ],
+        ids=[
+            "k-str", "k-float", "k-scalar", "k-short", "k-zero",
+            "source-1d", "source-wide", "candidates-str", "candidates-int",
+            "candidates-short", "candidates-entry-str", "candidates-float-id",
+            "exclude-list", "exclude-scalar", "exclude-short",
+        ],
+    )
+    def test_nearest_rejects_malformed_fields(self, fields, rows, field):
+        """Each malformed field is a ValidationError frame naming it,
+        raised before the request counts any work; the connection
+        keeps serving."""
+        if rows is None:
+            source_out = np.ones(DIMENSION)
+        elif rows == "wide":
+            source_out = np.ones((1, DIMENSION + 1))
+        else:
+            source_out = np.ones((rows, DIMENSION))
+        error, served = self._nearest_once(fields, source_out)
+        assert isinstance(error, ValidationError)
+        assert repr(field) in str(error)
+        assert served == 0
+
+    @pytest.mark.parametrize("rotation", [0, 1, 2])
+    def test_nearest_answers_each_query_like_engine_nearest(self, rotation):
+        """Three queries in one request: a full scan, a candidate pool
+        and an empty pool, against an ``exclude`` that is null, a local
+        host or an unknown one (rotated across the queries), each with
+        its own ``k``. Every answer equals ``engine.nearest``'s."""
+        sources = np.random.default_rng(5).random((3, DIMENSION))
+        ks = [4, 2, 3]
+        pools = [None, ["e", "a", 9, "c"], []]
+        excludes = [None, "a", "ghost"]
+        excludes = excludes[rotation:] + excludes[:rotation]
+        response, served = self._nearest_once(
+            {"k": ks, "exclude": excludes, "candidates": pools}, sources
+        )
+        store = InMemoryVectorStore(DIMENSION)
+        store.put_many(self.NEAREST_IDS, self.NEAREST_OUT, self.NEAREST_IN)
+        engine = QueryEngine(store)
+        expected = [
+            engine.nearest(row, k, pool, skip)
+            for row, k, pool, skip in zip(sources, ks, pools, excludes)
+        ]
+        assert response.fields["ids"] == [ids for ids, _ in expected]
+        np.testing.assert_array_equal(
+            response.array("values"),
+            np.concatenate([values for _, values in expected]),
+        )
+        assert served == engine.queries_served
+
+    def test_nearest_unknown_candidate_counts_no_query(self):
+        """A pool naming an unknown host fails the whole request before
+        the first scan, so the queries ahead of it count nothing."""
+        error, served = self._nearest_once(
+            {"k": [2, 2, 2], "candidates": [None, ["a", "b"], ["c", "ghost"]]},
+            np.ones((3, DIMENSION)),
+        )
+        assert isinstance(error, ValidationError)
+        assert "'ghost'" in str(error)
+        assert served == 0
+
+    def test_fanout_is_an_unknown_operation(self):
+        """1:N queries take one ``gather`` round; the op that shipped a
+        source vector to the destination shards is gone."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(*server.address, retries=0)
+                try:
+                    with pytest.raises(ValidationError, match="unknown operation"):
+                        await client.call(
+                            "fanout", {"dests": []},
+                            {"source_out": np.ones(DIMENSION)},
+                        )
                 finally:
                     await client.close()
 
@@ -882,6 +982,136 @@ class TestFrontendOverRouter:
             assert value == pytest.approx(reference.point(source, destination))
         assert served == [1, 1, 1]
 
+    @staticmethod
+    def _record_ops(router) -> list:
+        """Wrap every shard client's ``call`` to log ``(shard, op)``."""
+        calls = []
+        for shard, client in enumerate(router.clients):
+
+            async def call(op, *args, _send=client.call, _shard=shard, **kwargs):
+                calls.append((_shard, op))
+                return await _send(op, *args, **kwargs)
+
+            client.call = call
+        return calls
+
+    async def _one_cycle(self, cluster, queries):
+        """Run ``queries`` (frontend -> awaitable) in one dispatch cycle;
+        return their answers (or errors), each server's added
+        ``pipelined_requests``, the ops each shard received and the
+        frontend's stats."""
+        async with AsyncDistanceFrontend(cluster.router) as frontend:
+            calls = self._record_ops(cluster.router)
+            before = [s.pipelined_requests for s in cluster.servers]
+            answers = await asyncio.gather(
+                *(query(frontend) for query in queries), return_exceptions=True
+            )
+            after = [s.pipelined_requests for s in cluster.servers]
+            stats = frontend.stats()
+        added = [a - b for a, b in zip(after, before)]
+        return answers, added, sorted(calls), stats
+
+    def test_knn_cycle_sends_one_gather_and_one_nearest_per_shard(
+        self, vectors, reference
+    ):
+        """Six k-NN requests in one cycle cost each shard one ``gather``
+        (the sources it holds) and one ``nearest`` (every source row)."""
+        ids = vectors[0]
+        sources = ids[:6]
+        assert {shard_of(host, 3) for host in sources} == {0, 1, 2}
+        ks = [1, 2, 3, 4, 5, 6]
+
+        async def scenario():
+            async with _Cluster(3, vectors) as cluster:
+                return await self._one_cycle(
+                    cluster,
+                    [
+                        lambda f, s=s, k=k: f.k_nearest(s, k)
+                        for s, k in zip(sources, ks)
+                    ],
+                )
+
+        answers, added, calls, stats = run(scenario())
+        assert stats.batches == 1 and stats.max_batch_seen == 6
+        for source, k, answer in zip(sources, ks, answers):
+            assert answer == reference.k_nearest(source, k)
+        assert added == [2, 2, 2]
+        assert calls == [
+            (shard, op) for shard in range(3) for op in ("gather", "nearest")
+        ]
+
+    def test_one_to_many_cycle_sends_one_gather_per_involved_shard(
+        self, vectors, reference
+    ):
+        """Six 1:N requests in one cycle cost each shard holding a source
+        or a destination one ``gather``, and an uninvolved shard
+        nothing."""
+        ids = vectors[0]
+        near = [host for host in ids if shard_of(host, 3) in (0, 1)]
+        sources = near[:6]
+        destinations = [near[6 + i : 14 + i] for i in range(6)]
+
+        async def scenario():
+            async with _Cluster(3, vectors) as cluster:
+                return await self._one_cycle(
+                    cluster,
+                    [
+                        lambda f, s=s, d=d: f.query_one_to_many(s, d)
+                        for s, d in zip(sources, destinations)
+                    ],
+                )
+
+        answers, added, calls, stats = run(scenario())
+        assert stats.batches == 1 and stats.max_batch_seen == 6
+        for source, hosts, answer in zip(sources, destinations, answers):
+            np.testing.assert_allclose(
+                answer, reference.one_to_many(source, hosts)
+            )
+        assert added == [1, 1, 0]
+        assert calls == [(0, "gather"), (1, "gather")]
+
+    @pytest.mark.parametrize("kind", ["k_nearest", "one_to_many"])
+    def test_unknown_host_fails_alone_in_its_scan_cycle(
+        self, vectors, reference, kind
+    ):
+        """The cycle's batch fails on the unknown host, every member is
+        re-sent alone, and only the bad request gets the error."""
+        ids = vectors[0]
+        if kind == "k_nearest":
+            requests = [(ids[0], None), ("ghost", None), (ids[1], None)]
+
+            def query(source, _):
+                return lambda f: f.k_nearest(source, 3)
+
+            def expected(source, _):
+                return reference.k_nearest(source, 3)
+        else:
+            requests = [
+                (ids[0], ids[10:14]), (ids[1], [ids[15], "ghost"]),
+                (ids[2], ids[20:26]),
+            ]
+
+            def query(source, hosts):
+                return lambda f: f.query_one_to_many(source, hosts)
+
+            def expected(source, hosts):
+                return reference.one_to_many(source, hosts)
+
+        async def scenario():
+            async with _Cluster(3, vectors) as cluster:
+                return await self._one_cycle(
+                    cluster, [query(*request) for request in requests]
+                )
+
+        answers, _, _, stats = run(scenario())
+        assert stats.batches == 1 and stats.point_fallbacks == 3
+        assert isinstance(answers[1], ValidationError)
+        for index in (0, 2):
+            np.testing.assert_array_equal(
+                np.asarray(answers[index], dtype=object),
+                np.asarray(expected(*requests[index]), dtype=object),
+            )
+
     def test_bad_request_fails_alone_in_coalesced_batch(self, vectors):
         ids = vectors[0]
 
@@ -945,10 +1175,10 @@ class TestFrontendOverRouter:
             async def pairs(self, source_ids, destination_ids, deadline=None):
                 await asyncio.sleep(30)
 
-            async def one_to_many(self, source_id, destination_ids):
+            async def one_to_many_batch(self, source_ids, destination_ids):
                 await asyncio.sleep(30)
 
-            async def k_nearest(self, source_id, k, candidate_ids=None):
+            async def k_nearest_batch(self, source_ids, ks, candidate_ids):
                 await asyncio.sleep(30)
 
         async def scenario():
