@@ -48,7 +48,7 @@ SUM_ORDER_RTOL = 2 * DIMENSION * np.finfo(float).eps
 
 
 def build_workload(
-    n_hosts: int = N_HOSTS, dimension: int = DIMENSION, n_shards: int = 8
+    n_hosts: int = N_HOSTS, dimension: int = DIMENSION
 ) -> tuple[FactoredDistanceModel, DistanceService, list]:
     """A service and the equivalent factored model over random vectors."""
     rng = np.random.default_rng(0)
@@ -57,7 +57,7 @@ def build_workload(
     model = FactoredDistanceModel(outgoing=outgoing, incoming=incoming)
     ids = list(range(n_hosts))
     service = DistanceService.from_vectors(
-        ids, outgoing, incoming, landmark_ids=ids[:20], n_shards=n_shards
+        ids, outgoing, incoming, landmark_ids=ids[:20]
     )
     return model, service, ids
 

@@ -14,9 +14,9 @@ does. Two harnesses and one reference:
   process and compares one client awaiting each RPC in turn against
   the same client keeping ``depth`` RPCs in flight on its one socket;
 * **id-list k-NN** — :func:`id_list_nearest` is the gather-based full
-  scan that :meth:`~repro.serving.VectorStore.nearest` replaces: the
-  oracle of ``tests/serving/test_store.py`` and the baseline of the
-  full-scan gate in ``bench_serving.py``.
+  scan that :meth:`~repro.serving.InMemoryVectorStore.nearest`
+  replaces: the oracle of ``tests/serving/test_store.py`` and the
+  baseline of the full-scan gate in ``bench_serving.py``.
 """
 
 from __future__ import annotations
@@ -367,8 +367,8 @@ def id_list_nearest(store, source_out, k, exclude=None):
     ``gather`` the survivors' rows, one product, ``top_k_ascending``.
 
     Returns the ``(ids, distances, scanned)`` triple of
-    :meth:`~repro.serving.VectorStore.nearest`. Ties rank in ``ids()``
-    order (insertion order), not store row order.
+    :meth:`~repro.serving.InMemoryVectorStore.nearest`. Ties rank in
+    ``ids()`` order (insertion order), not store row order.
     """
     candidates = [host for host in store.ids() if host != exclude]
     if not candidates:

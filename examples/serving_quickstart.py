@@ -29,7 +29,7 @@ from repro import DistanceService, IDESSystem, load_dataset, split_landmarks
 def main() -> None:
     # ------------------------------------------------------------------
     # 1. Fit once (exactly as in quickstart.py), then export to a
-    #    service: 4 hash shards, LRU point-query cache.
+    #    service: one in-memory vector store, LRU point-query cache.
     # ------------------------------------------------------------------
     dataset = load_dataset("nlanr")
     split = split_landmarks(dataset, n_landmarks=20, seed=42)
@@ -44,7 +44,6 @@ def main() -> None:
         np.vstack([ides.landmark_vectors()[0], ides.host_vectors()[0][:-hold_out]]),
         np.vstack([ides.landmark_vectors()[1], ides.host_vectors()[1][:-hold_out]]),
         landmark_ids=[int(i) for i in split.landmark_indices],
-        n_shards=4,
         cache_entries=4096,
     )
     print(f"service up: {service.health()}")

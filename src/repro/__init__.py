@@ -52,7 +52,6 @@ from .serving import (
     InMemoryVectorStore,
     PredictionCache,
     QueryEngine,
-    ShardedVectorStore,
 )
 
 __version__ = "1.1.0"
@@ -75,7 +74,6 @@ __all__ = [
     "QueryEngine",
     "ReproError",
     "SVDFactorizer",
-    "ShardedVectorStore",
     "VivaldiSystem",
     "__version__",
     "dataset_statistics",

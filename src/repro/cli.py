@@ -154,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("svd", "nmf"), default="svd", help="factorization"
     )
     build_parser_.add_argument(
-        "--shards", type=int, default=0, help="hash shards (0: unsharded)"
-    )
-    build_parser_.add_argument(
         "--seed", type=int, default=0, help="landmark selection seed"
     )
 
@@ -530,7 +527,6 @@ def _command_serve_build(arguments) -> int:
     service = system.to_service(
         host_ids=[int(i) for i in split.ordinary_indices],
         landmark_ids=[int(i) for i in split.landmark_indices],
-        n_shards=arguments.shards,
     )
     path = service.save(arguments.snapshot)
     print(f"wrote {path}")

@@ -152,22 +152,20 @@ class ReplicaHealth:
 
 @dataclass(frozen=True)
 class ShardHealth:
-    """Health of one shard of a (possibly distributed) directory.
+    """Health of one shard of a distributed directory.
 
-    For an in-process :class:`~repro.serving.store.ShardedVectorStore`
-    all shards share one query engine, so the per-shard served-work
-    counters are unknown (None). For a cross-process deployment each
-    :class:`~repro.serving.transport.ShardServer` reports its own
-    counters, and an unreachable shard is recorded with
-    ``reachable=False`` rather than silently dropped — a router health
-    report must show *which* partition of the directory is dark.
+    Each :class:`~repro.serving.transport.ShardServer` of a
+    cross-process deployment reports its own served-work counters, and
+    an unreachable shard is recorded with ``reachable=False`` rather
+    than silently dropped — a router health report must show *which*
+    partition of the directory is dark.
 
     Attributes:
         shard_index: the shard's slot in the hash space.
         n_hosts: hosts stored on the shard (0 when unreachable).
         queries_served / pairs_evaluated: the shard's own engine
-            counters, or None when not individually tracked.
-        address: ``host:port`` for remote shards, None in-process.
+            counters, or None when the shard could not be contacted.
+        address: ``host:port`` of the shard server.
         reachable: False when the shard could not be contacted (for a
             replica group: when *every* replica is dark).
         replicas: per-replica :class:`ReplicaHealth` entries when the
@@ -244,7 +242,8 @@ class ServiceHealth:
         n_hosts: hosts in the vector store (landmarks included).
         n_landmarks: hosts acting as the landmark reference set.
         dimension: model dimension ``d``.
-        n_shards: store shard count (0 for the unsharded backend).
+        n_shards: shard count of a routed deployment (0 for a
+            single-process service).
         shard_occupancy: hosts per shard (empty when unsharded).
         queries_served: engine calls answered since start/reset.
         pairs_evaluated: (source, destination) pairs predicted.

@@ -166,8 +166,8 @@ class IDESSystem(LatencyPredictionSystem):
 
         The service answers batched queries, caches point lookups, and
         keeps accepting new hosts incrementally — see
-        :mod:`repro.serving`. ``options`` (shards, cache sizing, solver
-        settings) are forwarded to the service constructor.
+        :mod:`repro.serving`. ``options`` (cache sizing, solver settings)
+        are forwarded to the service constructor.
         """
         from ..serving import DistanceService
 

@@ -6,8 +6,8 @@ and from then on any distance is one dot product. This package is the
 layer the paper stops short of building — the part that actually
 serves the traffic:
 
-* :mod:`~repro.serving.store` — O(1) host-vector directories, in
-  memory or hash-sharded, thread-safe under concurrent refresh;
+* :mod:`~repro.serving.store` — the O(1) in-memory host-vector
+  directory, thread-safe under concurrent refresh;
 * :mod:`~repro.serving.engine` — point / pairs / one-to-many /
   many-to-many / k-nearest queries as dense NumPy batch products;
 * :mod:`~repro.serving.cache` — LRU + TTL memoization of point
@@ -36,8 +36,8 @@ serves the traffic:
   :class:`ShardedQueryRouter` scatter-gathering batches over sockets
   behind the same frontend.
 
-Thread-safety at a glance (details in each module): stores and the
-cache serialize on internal locks, so refresh threads and query
+Thread-safety at a glance (details in each module): the vector store
+and the cache serialize on internal locks, so refresh threads and query
 threads interleave safely; ``DistanceService`` guards membership,
 write stamps and the write epoch under one RLock and re-checks
 membership inside it so refreshes cannot resurrect evicted hosts;
@@ -80,8 +80,6 @@ from .service import DistanceService
 from .snapshot import ServiceSnapshot, load_snapshot, save_snapshot
 from .store import (
     InMemoryVectorStore,
-    ShardedVectorStore,
-    VectorStore,
     group_by_shard,
     shard_of,
 )
@@ -121,11 +119,9 @@ __all__ = [
     "ShardReplicator",
     "ShardServer",
     "ShardedQueryRouter",
-    "ShardedVectorStore",
     "TelemetryServer",
     "TraceContext",
     "Tracer",
-    "VectorStore",
     "build_trace_trees",
     "configure_tracing",
     "connect_replica_router",

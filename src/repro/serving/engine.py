@@ -4,9 +4,9 @@ Every query shape — point, one-to-many, many-to-many — reduces to
 gathering the relevant rows of the ``X``/``Y`` matrices and one dense
 product ``X[rows] @ Y[cols].T`` (paper Eq. 4). A full-scan k-nearest
 query gathers nothing: the store scores its own rows in place
-(:meth:`VectorStore.nearest`). There is deliberately no per-pair
-Python loop anywhere on the read path; that is the entire performance
-story of the serving layer, quantified by
+(:meth:`~repro.serving.store.InMemoryVectorStore.nearest`). There is
+deliberately no per-pair Python loop anywhere on the read path; that
+is the entire performance story of the serving layer, quantified by
 ``benchmarks/bench_serving.py``.
 
 Thread-safety: the engine holds no query state of its own — reads are
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ValidationError
-from .store import VectorStore, top_k_ascending
+from .store import InMemoryVectorStore, top_k_ascending
 
 __all__ = ["QueryEngine"]
 
@@ -41,7 +41,7 @@ class QueryEngine:
     increments.
 
     Args:
-        store: the :class:`VectorStore` holding host vectors.
+        store: the :class:`InMemoryVectorStore` holding host vectors.
         zero_copy: gather row *views* instead of copies where the
             engine consumes them immediately (one product, result
             owned). Only safe when the store is mutated solely from
@@ -56,7 +56,7 @@ class QueryEngine:
             the unit the throughput benchmark reports.
     """
 
-    def __init__(self, store: VectorStore, zero_copy: bool = False):
+    def __init__(self, store: InMemoryVectorStore, zero_copy: bool = False):
         self.store = store
         self.queries_served = 0
         self.pairs_evaluated = 0
@@ -192,11 +192,12 @@ class QueryEngine:
         The vector form of :meth:`k_nearest`, also behind the shard
         server's ``nearest`` RPC (the router ships the source vector).
         Without ``candidate_ids`` the store scores its rows in place
-        (:meth:`VectorStore.nearest`) and equal distances come out in
-        store row order; a candidate pool is gathered as one ``(n, d)``
-        block and its ties follow pool order. ``exclude`` leaves one
-        host out of either scan. The counters record one query of as
-        many pairs as hosts were scored, and nothing when none was.
+        (:meth:`InMemoryVectorStore.nearest`) and equal distances come
+        out in store row order; a candidate pool is gathered as one
+        ``(n, d)`` block and its ties follow pool order. ``exclude``
+        leaves one host out of either scan. The counters record one
+        query of as many pairs as hosts were scored, and nothing when
+        none was.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")

@@ -1,8 +1,8 @@
 """The distance service facade: store + engine + cache in one object.
 
 :class:`DistanceService` is the deployable form of a fitted IDES
-model. It owns a :class:`~repro.serving.store.VectorStore` of host
-vectors, answers every query shape through a vectorized
+model. It owns an :class:`~repro.serving.store.InMemoryVectorStore`
+of host vectors, answers every query shape through a vectorized
 :class:`~repro.serving.engine.QueryEngine`, memoizes point queries in
 a :class:`~repro.serving.cache.PredictionCache`, and — unlike the
 fit-then-lookup :class:`~repro.ides.server.InformationServer` —
@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .._validation import check_dimension
-from ..core.diagnostics import ServiceHealth, ShardHealth
+from ..core.diagnostics import ServiceHealth
 from ..exceptions import (
     DeadlineExceededError,
     NotFittedError,
@@ -33,7 +32,7 @@ from ..ides.vectors import HostVectors
 from .cache import PredictionCache
 from .engine import QueryEngine
 from .snapshot import ServiceSnapshot, load_snapshot, save_snapshot
-from .store import InMemoryVectorStore, ShardedVectorStore, VectorStore
+from .store import InMemoryVectorStore
 
 __all__ = ["DistanceService"]
 
@@ -42,12 +41,8 @@ class DistanceService:
     """Online distance-query service over a fitted factored model.
 
     Args:
-        dimension: model dimension ``d`` (ignored when ``store`` is
-            given).
-        store: a prebuilt vector store; by default an
-            :class:`InMemoryVectorStore` (or a
-            :class:`ShardedVectorStore` when ``n_shards`` > 0).
-        n_shards: build a hash-sharded store with this many shards.
+        dimension: model dimension ``d`` of the service's
+            :class:`InMemoryVectorStore`.
         cache_entries: LRU capacity of the point-query cache.
         cache_ttl: cache entry lifetime in seconds (None: no expiry).
         cache_admission: point-query cache admission policy —
@@ -66,9 +61,7 @@ class DistanceService:
 
     def __init__(
         self,
-        dimension: int | None = None,
-        store: VectorStore | None = None,
-        n_shards: int = 0,
+        dimension: int,
         cache_entries: int = 65536,
         cache_ttl: float | None = None,
         cache_admission: str = "none",
@@ -78,16 +71,8 @@ class DistanceService:
         strict: bool = True,
         sink_retry_backoff: float = 0.05,
     ):
-        if store is None:
-            if dimension is None:
-                raise ValidationError("DistanceService needs a dimension or a store")
-            dimension = check_dimension(dimension)
-            if n_shards:
-                store = ShardedVectorStore(dimension, n_shards=n_shards)
-            else:
-                store = InMemoryVectorStore(dimension)
-        self.store = store
-        self.engine = QueryEngine(store)
+        self.store = InMemoryVectorStore(dimension)
+        self.engine = QueryEngine(self.store)
         self.clock = clock
         self.cache = PredictionCache(
             max_entries=cache_entries,
@@ -174,8 +159,8 @@ class DistanceService:
             landmark_ids: identifiers for the landmarks; defaults to
                 the server's directory ids (``0..m-1`` unless the
                 server was fitted with explicit ids).
-            **options: forwarded to the constructor (shards, cache,
-                solver settings).
+            **options: forwarded to the constructor (cache and solver
+                settings).
         """
         landmark_out, landmark_in = system.landmark_vectors()
         if landmark_ids is None:
@@ -575,13 +560,11 @@ class DistanceService:
     def snapshot(self) -> ServiceSnapshot:
         """Materialize the current directory as a snapshot object."""
         identifiers, outgoing, incoming = self.store.export()
-        n_shards = getattr(self.store, "n_shards", 0)
         return ServiceSnapshot(
             ids=identifiers,
             outgoing=outgoing,
             incoming=incoming,
             landmark_ids=list(self._landmark_ids),
-            n_shards=n_shards,
         )
 
     def save(self, path: str | Path) -> Path:
@@ -590,13 +573,9 @@ class DistanceService:
 
     @classmethod
     def load(cls, path: str | Path, **options: object) -> "DistanceService":
-        """Rebuild a service from a snapshot file.
-
-        The shard layout is restored from the snapshot unless
-        ``n_shards`` is overridden in ``options``.
-        """
+        """Rebuild a service from a snapshot file; ``options`` are
+        forwarded to the constructor."""
         snapshot = load_snapshot(path)
-        options.setdefault("n_shards", snapshot.n_shards)
         return cls.from_vectors(
             snapshot.ids,
             snapshot.outgoing,
@@ -608,25 +587,12 @@ class DistanceService:
     def health(self) -> ServiceHealth:
         """Operational counters as a :class:`ServiceHealth` report.
 
-        For a sharded store the report carries one
-        :class:`~repro.core.diagnostics.ShardHealth` per shard. In a
-        single process all shards share this service's engine, so the
-        per-shard served-work counters are None; a cross-process
+        The service holds one store, so the report has ``n_shards=0``
+        and no per-shard entries; a cross-process
         :meth:`~repro.serving.transport.ShardedQueryRouter.health`
-        fills them from each shard server's own engine.
+        fills those from each shard server's own engine.
         """
         cache_stats = self.cache.stats()
-        if isinstance(self.store, ShardedVectorStore):
-            n_shards = self.store.n_shards
-            occupancy = tuple(self.store.occupancy())
-            shards = tuple(
-                ShardHealth(shard_index=index, n_hosts=count)
-                for index, count in enumerate(occupancy)
-            )
-        else:
-            n_shards = 0
-            occupancy = ()
-            shards = ()
         now = self.clock()
         with self._lock:
             stamps = list(self._updated_at.values())
@@ -652,8 +618,8 @@ class DistanceService:
             n_hosts=self.n_hosts,
             n_landmarks=len(self._landmark_ids),
             dimension=self.dimension,
-            n_shards=n_shards,
-            shard_occupancy=occupancy,
+            n_shards=0,
+            shard_occupancy=(),
             queries_served=self.engine.queries_served,
             pairs_evaluated=self.engine.pairs_evaluated,
             cache_hits=cache_stats.hits,
@@ -667,7 +633,6 @@ class DistanceService:
             seconds_since_refresh=since_refresh,
             max_vector_age_seconds=max_age,
             mean_vector_age_seconds=mean_age,
-            shards=shards,
             update_sink_failures=sink_failures,
             update_sink_failures_by_sink=sink_failures_by_name,
             update_sink_last_error=sink_last_error,

@@ -1,8 +1,8 @@
 """Snapshot serialization for the distance service.
 
 A snapshot is one compressed ``.npz`` holding the dense vector
-matrices plus a JSON header (identifiers, landmark set, store layout),
-so a service can be fitted once offline and shipped to any number of
+matrices plus a JSON header (identifiers and landmark set), so a
+service can be fitted once offline and shipped to any number of
 query frontends — the deployment split the IDES architecture implies.
 
 Identifiers must be JSON-representable scalars (``str`` or ``int``) to
@@ -33,15 +33,12 @@ class ServiceSnapshot:
         outgoing / incoming: ``(n, d)`` vector matrices, row i for
             ``ids[i]``.
         landmark_ids: the subset of ``ids`` acting as landmarks.
-        n_shards: shard count of the originating store (0 for the
-            unsharded in-memory backend).
     """
 
     ids: list
     outgoing: np.ndarray
     incoming: np.ndarray
     landmark_ids: list
-    n_shards: int = 0
 
     def __post_init__(self) -> None:
         if len(self.ids) != self.outgoing.shape[0]:
@@ -89,7 +86,6 @@ def save_snapshot(snapshot: ServiceSnapshot, path: str | Path) -> Path:
             "format_version": _FORMAT_VERSION,
             "ids": snapshot.ids,
             "landmark_ids": snapshot.landmark_ids,
-            "n_shards": snapshot.n_shards,
         }
     )
     np.savez_compressed(
@@ -105,7 +101,12 @@ def save_snapshot(snapshot: ServiceSnapshot, path: str | Path) -> Path:
 
 
 def load_snapshot(path: str | Path) -> ServiceSnapshot:
-    """Read a snapshot previously written by :func:`save_snapshot`."""
+    """Read a snapshot previously written by :func:`save_snapshot`.
+
+    Header keys other than the ones :func:`save_snapshot` writes are
+    ignored, such as the ``n_shards`` layout key that older writers
+    added.
+    """
     source = Path(path)
     if not source.exists():
         raise ValidationError(f"snapshot file not found: {source}")
@@ -134,5 +135,4 @@ def load_snapshot(path: str | Path) -> ServiceSnapshot:
         outgoing=np.asarray(outgoing, dtype=float),
         incoming=np.asarray(incoming, dtype=float),
         landmark_ids=list(header["landmark_ids"]),
-        n_shards=int(header.get("n_shards", 0)),
     )

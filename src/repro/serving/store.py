@@ -1,33 +1,31 @@
-"""Vector stores: the directory layer of the query service.
+"""The vector store: the directory layer of the query service.
 
-A :class:`VectorStore` maps host identifiers to their ``(outgoing,
-incoming)`` model vectors with O(1) lookup, and — crucially for the
-query engine — gathers many hosts' vectors into dense ``(n, d)``
+:class:`InMemoryVectorStore` maps host identifiers to their
+``(outgoing, incoming)`` model vectors with O(1) lookup, and — crucially
+for the query engine — gathers many hosts' vectors into dense ``(n, d)``
 matrices in one shot so that every query becomes a NumPy batch
 operation instead of a per-pair Python loop. A full-scan k-nearest
-query gathers nothing: :meth:`VectorStore.nearest` scores the store's
-rows where they lie and maps only the winners back to identifiers.
+query gathers nothing: :meth:`InMemoryVectorStore.nearest` scores the
+store's rows where they lie and maps only the winners back to
+identifiers.
 
-Two backends:
-
-* :class:`InMemoryVectorStore` keeps all vectors in two growable
-  arrays whose first ``n`` rows hold the ``n`` stored hosts, so
-  registration, eviction and bulk gather stay amortized O(1) per host.
-* :class:`ShardedVectorStore` hash-partitions identifiers across many
-  in-memory shards — the single-process rehearsal of the scale-out
-  directory the IDES paper sketches in Section 5.1.
-
-Both backends are thread-safe: a background refresh worker can bulk
+The store is thread-safe: a background refresh worker can bulk
 ``put_many`` new vectors while the query path gathers, without torn
-row maps (each in-memory shard serializes access with an RLock).
+row maps (writes, gathers and scans serialize on one RLock).
+
+A :class:`~repro.serving.service.DistanceService` holds one store, and
+so does each :class:`~repro.serving.transport.ShardServer` of a
+cross-process deployment. That deployment assigns hosts to shards with
+:func:`shard_of` (in the router, the shard servers and snapshot
+slicing), and the router splits its batches with
+:func:`group_by_shard`.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from abc import ABC, abstractmethod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,9 +34,7 @@ from ..exceptions import ValidationError
 from ..ides.vectors import HostVectors
 
 __all__ = [
-    "VectorStore",
     "InMemoryVectorStore",
-    "ShardedVectorStore",
     "shard_of",
     "group_by_shard",
     "top_k_ascending",
@@ -52,9 +48,10 @@ def top_k_ascending(distances: np.ndarray, k: int) -> np.ndarray:
     position order — O(n + k log k), never a full sort. Equal distances
     among the winners come out in position order; when several
     positions tie at the ``k``-th distance, which of them make the cut
-    is unspecified. Shared by :meth:`VectorStore.nearest` (positions
-    are store rows) and :meth:`~repro.serving.QueryEngine.nearest`'s
-    explicit candidate pool (positions follow the pool).
+    is unspecified. Shared by :meth:`InMemoryVectorStore.nearest`
+    (positions are store rows) and
+    :meth:`~repro.serving.QueryEngine.nearest`'s explicit candidate
+    pool (positions follow the pool).
     """
     k = min(int(k), distances.shape[0])
     top = np.sort(np.argpartition(distances, k - 1)[:k])
@@ -76,10 +73,9 @@ def shard_of(host_id: object, n_shards: int) -> int:
 def group_by_shard(host_ids: Sequence, n_shards: int) -> dict[int, np.ndarray]:
     """Positions of ``host_ids`` grouped by their ``shard_of`` shard.
 
-    The scatter primitive shared by :class:`ShardedVectorStore` (which
-    gathers once per in-process shard) and the cross-process
-    :class:`~repro.serving.transport.ShardedQueryRouter` (which turns
-    each group into one RPC): ``result[shard] -> array of positions``,
+    The scatter primitive of the cross-process
+    :class:`~repro.serving.transport.ShardedQueryRouter`, which turns
+    each group into one RPC: ``result[shard] -> array of positions``,
     so results can be written back into request order.
     """
     assignments = np.fromiter(
@@ -93,94 +89,7 @@ def group_by_shard(host_ids: Sequence, n_shards: int) -> dict[int, np.ndarray]:
     }
 
 
-class VectorStore(ABC):
-    """Directory of host vectors behind the query engine."""
-
-    @property
-    @abstractmethod
-    def dimension(self) -> int:
-        """Model dimension ``d`` of every stored vector."""
-
-    @abstractmethod
-    def put(self, host_id: object, vectors: HostVectors) -> None:
-        """Insert or overwrite one host's vectors."""
-
-    @abstractmethod
-    def put_many(
-        self, host_ids: Sequence, outgoing: np.ndarray, incoming: np.ndarray
-    ) -> None:
-        """Insert or overwrite many hosts from ``(n, d)`` matrices."""
-
-    @abstractmethod
-    def get(self, host_id: object) -> HostVectors:
-        """Fetch one host's vectors; raises for unknown hosts."""
-
-    @abstractmethod
-    def delete(self, host_id: object) -> bool:
-        """Remove a host; returns whether it was present."""
-
-    @abstractmethod
-    def gather(
-        self, host_ids: Sequence, copy: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the hosts' vectors into ``(n, d)`` ``(X, Y)`` matrices,
-        in request order.
-
-        ``copy=False`` permits (but does not require) the result to be
-        a *view* of the store's backing arrays — the fast path for
-        readers that consume the rows before the store can be mutated
-        again (the shard server copies them into its response frame).
-        Callers that hold results across writes, or share the store
-        with writer threads, must keep the default."""
-
-    @abstractmethod
-    def nearest(
-        self, source_out: np.ndarray, k: int, exclude: object = None
-    ) -> tuple[list, np.ndarray, int]:
-        """Full-scan k-nearest: the ``k`` stored hosts whose predicted
-        distance ``incoming @ source_out`` is smallest.
-
-        Args:
-            source_out: the querying host's outgoing vector, ``(d,)``.
-            k: number of neighbours, >= 1.
-            exclude: a host id left out of the scan (the source
-                itself); an id the store does not hold excludes
-                nothing.
-
-        Returns:
-            ``(ids, distances, scanned)``: the winners ascending by
-            distance, and how many hosts were scored (every stored
-            host but ``exclude``). Equal distances come out in store
-            row order (shard by shard, in shard order, for a sharded
-            store).
-        """
-
-    @abstractmethod
-    def export(self) -> tuple[list, np.ndarray, np.ndarray]:
-        """``(ids, X, Y)`` for every stored host (bulk snapshot)."""
-
-    @abstractmethod
-    def ids(self) -> list:
-        """All stored identifiers."""
-
-    @abstractmethod
-    def __contains__(self, host_id: object) -> bool: ...
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    def __iter__(self) -> Iterator:
-        return iter(self.ids())
-
-    def _check_vectors(self, vectors: HostVectors) -> None:
-        if vectors.dimension != self.dimension:
-            raise ValidationError(
-                f"vectors have dimension {vectors.dimension}, store uses "
-                f"{self.dimension}"
-            )
-
-
-class InMemoryVectorStore(VectorStore):
+class InMemoryVectorStore:
     """Array-backed store with O(1) lookup and vectorized gather.
 
     Vectors live in two ``(capacity, d)`` arrays that double on demand,
@@ -207,6 +116,7 @@ class InMemoryVectorStore(VectorStore):
 
     @property
     def dimension(self) -> int:
+        """Model dimension ``d`` of every stored vector."""
         return self._dimension
 
     # ------------------------------------------------------------------ #
@@ -234,7 +144,12 @@ class InMemoryVectorStore(VectorStore):
         self._incoming = grown_in
 
     def put(self, host_id: object, vectors: HostVectors) -> None:
-        self._check_vectors(vectors)
+        """Insert or overwrite one host's vectors."""
+        if vectors.dimension != self._dimension:
+            raise ValidationError(
+                f"vectors have dimension {vectors.dimension}, store uses "
+                f"{self._dimension}"
+            )
         with self._lock:
             row = self._claim_row(host_id)
             self._outgoing[row] = vectors.outgoing
@@ -243,6 +158,7 @@ class InMemoryVectorStore(VectorStore):
     def put_many(
         self, host_ids: Sequence, outgoing: np.ndarray, incoming: np.ndarray
     ) -> None:
+        """Insert or overwrite many hosts from ``(n, d)`` matrices."""
         outgoing = np.asarray(outgoing, dtype=float)
         incoming = np.asarray(incoming, dtype=float)
         expected = (len(host_ids), self._dimension)
@@ -261,6 +177,7 @@ class InMemoryVectorStore(VectorStore):
             self._incoming[rows] = incoming
 
     def delete(self, host_id: object) -> bool:
+        """Remove a host; returns whether it was present."""
         with self._lock:
             row = self._row_of.pop(host_id, None)
             if row is None:
@@ -279,6 +196,7 @@ class InMemoryVectorStore(VectorStore):
     # ------------------------------------------------------------------ #
 
     def get(self, host_id: object) -> HostVectors:
+        """Fetch one host's vectors; raises for unknown hosts."""
         with self._lock:
             try:
                 row = self._row_of[host_id]
@@ -303,6 +221,15 @@ class InMemoryVectorStore(VectorStore):
     def gather(
         self, host_ids: Sequence, copy: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Stack the hosts' vectors into ``(n, d)`` ``(X, Y)`` matrices,
+        in request order.
+
+        ``copy=False`` permits (but does not require) the result to be
+        a *view* of the store's backing arrays — the fast path for
+        readers that consume the rows before the store can be mutated
+        again (the shard server copies them into its response frame).
+        Callers that hold results across writes, or share the store
+        with writer threads, must keep the default."""
         with self._lock:
             rows = self.rows_for(host_ids)
             if not copy and rows.size:
@@ -320,6 +247,22 @@ class InMemoryVectorStore(VectorStore):
     def nearest(
         self, source_out: np.ndarray, k: int, exclude: object = None
     ) -> tuple[list, np.ndarray, int]:
+        """Full-scan k-nearest: the ``k`` stored hosts whose predicted
+        distance ``incoming @ source_out`` is smallest.
+
+        Args:
+            source_out: the querying host's outgoing vector, ``(d,)``.
+            k: number of neighbours, >= 1.
+            exclude: a host id left out of the scan (the source
+                itself); an id the store does not hold excludes
+                nothing.
+
+        Returns:
+            ``(ids, distances, scanned)``: the winners ascending by
+            distance, and how many hosts were scored (every stored
+            host but ``exclude``). Equal distances come out in store
+            row order.
+        """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         with self._lock:
@@ -339,6 +282,7 @@ class InMemoryVectorStore(VectorStore):
             return winners, distances[top], stored - skip
 
     def export(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """``(ids, X, Y)`` for every stored host (bulk snapshot)."""
         with self._lock:
             identifiers = self.ids()
             if not identifiers:
@@ -348,6 +292,7 @@ class InMemoryVectorStore(VectorStore):
             return identifiers, outgoing, incoming
 
     def ids(self) -> list:
+        """All stored identifiers."""
         with self._lock:
             return list(self._row_of)
 
@@ -361,129 +306,3 @@ class InMemoryVectorStore(VectorStore):
     def capacity(self) -> int:
         """Allocated vector slots (grows geometrically)."""
         return self._outgoing.shape[0]
-
-
-class ShardedVectorStore(VectorStore):
-    """Hash-partitioned store: identifiers spread over N shards.
-
-    Single-item operations route to ``shard_of(host_id)``; bulk gathers
-    group the request by shard, gather once per shard, and scatter the
-    results back into request order, so batched queries stay vectorized
-    end to end.
-
-    Args:
-        dimension: model dimension ``d``.
-        n_shards: number of hash shards.
-        initial_capacity: per-shard starting capacity.
-    """
-
-    def __init__(self, dimension: int, n_shards: int = 8, initial_capacity: int = 64):
-        self._dimension = check_dimension(dimension)
-        if int(n_shards) < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = int(n_shards)
-        self.shards = [
-            InMemoryVectorStore(dimension, initial_capacity=initial_capacity)
-            for _ in range(self.n_shards)
-        ]
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    def shard_for(self, host_id: object) -> InMemoryVectorStore:
-        """The shard responsible for ``host_id``."""
-        return self.shards[shard_of(host_id, self.n_shards)]
-
-    def put(self, host_id: object, vectors: HostVectors) -> None:
-        self._check_vectors(vectors)
-        self.shard_for(host_id).put(host_id, vectors)
-
-    def put_many(
-        self, host_ids: Sequence, outgoing: np.ndarray, incoming: np.ndarray
-    ) -> None:
-        outgoing = np.asarray(outgoing, dtype=float)
-        incoming = np.asarray(incoming, dtype=float)
-        expected = (len(host_ids), self._dimension)
-        if outgoing.shape != expected or incoming.shape != expected:
-            raise ValidationError(
-                f"put_many expects matrices of shape {expected}, got "
-                f"{outgoing.shape} and {incoming.shape}"
-            )
-        for shard_index, positions in self._group_by_shard(host_ids).items():
-            self.shards[shard_index].put_many(
-                [host_ids[p] for p in positions],
-                outgoing[positions],
-                incoming[positions],
-            )
-
-    def get(self, host_id: object) -> HostVectors:
-        return self.shard_for(host_id).get(host_id)
-
-    def delete(self, host_id: object) -> bool:
-        return self.shard_for(host_id).delete(host_id)
-
-    def gather(
-        self, host_ids: Sequence, copy: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # The scatter back into request order always materializes new
-        # matrices, so ``copy`` has no view to offer here.
-        count = len(host_ids)
-        outgoing = np.empty((count, self._dimension))
-        incoming = np.empty((count, self._dimension))
-        for shard_index, positions in self._group_by_shard(host_ids).items():
-            shard_out, shard_in = self.shards[shard_index].gather(
-                [host_ids[p] for p in positions]
-            )
-            outgoing[positions] = shard_out
-            incoming[positions] = shard_in
-        return outgoing, incoming
-
-    def nearest(
-        self, source_out: np.ndarray, k: int, exclude: object = None
-    ) -> tuple[list, np.ndarray, int]:
-        # Each shard ranks its own rows; merging the per-shard lists with
-        # a stable sort in shard order is what the cross-process router
-        # does with its shards' ``nearest`` answers.
-        found = [shard.nearest(source_out, k, exclude) for shard in self.shards]
-        ids = [host for shard_ids, _, _ in found for host in shard_ids]
-        distances = np.concatenate([values for _, values, _ in found])
-        top = np.argsort(distances, kind="stable")[:k]
-        return (
-            [ids[int(i)] for i in top],
-            distances[top],
-            sum(scanned for _, _, scanned in found),
-        )
-
-    def _group_by_shard(self, host_ids: Sequence) -> dict[int, np.ndarray]:
-        return group_by_shard(host_ids, self.n_shards)
-
-    def export(self) -> tuple[list, np.ndarray, np.ndarray]:
-        identifiers: list = []
-        blocks_out: list[np.ndarray] = []
-        blocks_in: list[np.ndarray] = []
-        for shard in self.shards:
-            shard_ids, shard_out, shard_in = shard.export()
-            identifiers.extend(shard_ids)
-            blocks_out.append(shard_out)
-            blocks_in.append(shard_in)
-        if not identifiers:
-            empty = np.zeros((0, self._dimension))
-            return [], empty, empty.copy()
-        return identifiers, np.vstack(blocks_out), np.vstack(blocks_in)
-
-    def ids(self) -> list:
-        collected: list = []
-        for shard in self.shards:
-            collected.extend(shard.ids())
-        return collected
-
-    def occupancy(self) -> list[int]:
-        """Number of hosts on each shard (load-balance diagnostic)."""
-        return [len(shard) for shard in self.shards]
-
-    def __contains__(self, host_id: object) -> bool:
-        return host_id in self.shard_for(host_id)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)

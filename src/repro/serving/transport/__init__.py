@@ -2,12 +2,11 @@
 
 The IDES architecture (paper Section 5.1) is explicitly a *networked*
 service — clients retrieve vectors and predictions from an information
-server over the wire — and everything below this package (hash-sharded
-:class:`~repro.serving.store.ShardedVectorStore`, the coalescing
-:class:`~repro.serving.frontend.AsyncDistanceFrontend`) was built
-shard-aware but ran in one process. This package supplies the missing
-transport so a deployment can put every shard in its own process (or
-on its own machine):
+server over the wire — and everything below this package (the
+:class:`~repro.serving.store.InMemoryVectorStore`, the coalescing
+:class:`~repro.serving.frontend.AsyncDistanceFrontend`) runs in one
+process. This package supplies the missing transport so a deployment
+can put every shard in its own process (or on its own machine):
 
 * :mod:`~repro.serving.transport.protocol` — the length-prefixed
   binary wire format: a fixed 16-byte prelude (carrying a request
@@ -16,8 +15,8 @@ on its own machine):
   the receive buffer (spec: ``docs/wire-protocol.md``);
 * :mod:`~repro.serving.transport.server` — :class:`ShardServer`, an
   asyncio process owning one vector-store shard plus a local
-  :class:`~repro.serving.engine.QueryEngine`, serving point / pairs /
-  one-to-many / k-nearest / gather / update RPCs — requests
+  :class:`~repro.serving.engine.QueryEngine`, serving point / gather /
+  k-nearest / update RPCs — requests
   pipeline and answer out of order, each isolated to its own request
   id, and each connection sends its responses one at a time, so a
   peer that stops reading stalls only itself;

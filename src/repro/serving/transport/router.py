@@ -1,13 +1,13 @@
 """The query router: scatter-gather over a cluster of shard servers.
 
-:class:`ShardedQueryRouter` is the cross-process counterpart of
-:class:`~repro.serving.store.ShardedVectorStore`: it splits every
-batch by ``shard_of``, turns each group into one RPC, launches the
-RPCs *concurrently* with ``asyncio.gather``, and scatters the answers
-back into request order. The wall-clock cost of a batch is therefore
-the slowest single shard, not the sum over shards —
-``benchmarks/bench_transport.py`` gates that the concurrent form beats
-sequential per-shard dispatch by >= 2x.
+:class:`ShardedQueryRouter` spreads one directory over shard server
+processes: it splits every batch by ``shard_of``, turns each group
+into one RPC, launches the RPCs *concurrently* with
+``asyncio.gather``, and scatters the answers back into request
+order. The wall-clock cost of a batch is therefore the slowest single
+shard, not the sum over shards — ``benchmarks/bench_transport.py``
+gates that the concurrent form beats sequential per-shard dispatch by
+>= 2x.
 
 Query plans (each line is one concurrent round):
 

@@ -749,11 +749,6 @@ class ShardServer:
         destination_id = self._scalar_id(message, "dest")
         return {"value": self.engine.point(source_id, destination_id)}, {}
 
-    def _op_pairs(self, message: Message) -> tuple[dict, dict]:
-        sources = self._local_ids(message, "sources")
-        destinations = self._local_ids(message, "dests")
-        return {}, {"values": self.engine.pairs(sources, destinations)}
-
     def _op_nearest(self, message: Message) -> tuple[dict, dict]:
         """Local top-k among this shard's hosts for each of ``m`` source
         vectors: one routed k-NN batch, which the router merges across
@@ -866,7 +861,6 @@ class ShardServer:
         "gather": _op_gather,
         "ids": _op_ids,
         "point": _op_point,
-        "pairs": _op_pairs,
         "nearest": _op_nearest,
         "export": _op_export,
         "health": _op_health,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.serving import InMemoryVectorStore, QueryEngine, ShardedVectorStore
+from repro.serving import InMemoryVectorStore, QueryEngine
 
 
 @pytest.fixture
@@ -66,14 +66,6 @@ class TestQueryShapes:
         block = engine.many_to_many([ids[i] for i in rows], [ids[j] for j in cols])
         np.testing.assert_allclose(block, outgoing[rows] @ incoming[cols].T)
         assert block.shape == (3, 2)
-
-    def test_works_on_sharded_store(self, populated):
-        ids, outgoing, incoming, _ = populated
-        sharded = ShardedVectorStore(dimension=4, n_shards=3)
-        sharded.put_many(ids, outgoing, incoming)
-        engine = QueryEngine(sharded)
-        block = engine.many_to_many(ids[:5], ids[5:10])
-        np.testing.assert_allclose(block, outgoing[:5] @ incoming[5:10].T)
 
 
 class TestKNearest:

@@ -1,12 +1,14 @@
 """Tests for the DistanceService facade (end-to-end serving layer)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import FactoredDistanceModel, ServiceHealth
 from repro.exceptions import ValidationError
 from repro.ides import HostVectors, IDESSystem, InformationServer
-from repro.serving import DistanceService, ShardedVectorStore
+from repro.serving import DistanceService, load_snapshot
 
 from ..conftest import make_low_rank_matrix
 
@@ -55,16 +57,8 @@ class TestConstruction:
         assert service.n_hosts == 7
         assert service.landmark_ids == list(range(6))
 
-    def test_sharded_construction(self, fitted_system):
-        _, system = fitted_system
-        service = system.to_service(
-            host_ids=[f"h{i}" for i in range(12)], n_shards=4
-        )
-        assert isinstance(service.store, ShardedVectorStore)
-        assert service.n_hosts == 20
-
-    def test_needs_dimension_or_store(self):
-        with pytest.raises(ValidationError):
+    def test_needs_a_dimension(self):
+        with pytest.raises(TypeError):
             DistanceService()
 
     def test_duplicate_host_ids_rejected(self):
@@ -98,15 +92,6 @@ class TestBatchedEqualsPairwise:
     def test_point_query_matches_batch(self, service):
         block = service.query_many_to_many(["h1"], ["h2"])
         assert service.query("h1", "h2") == pytest.approx(block[0, 0])
-
-    def test_sharded_equals_unsharded(self, fitted_system):
-        _, system = fitted_system
-        ids = [f"h{i}" for i in range(12)]
-        flat = system.to_service(host_ids=ids)
-        sharded = system.to_service(host_ids=ids, n_shards=5)
-        np.testing.assert_array_equal(
-            flat.query_many_to_many(ids, ids), sharded.query_many_to_many(ids, ids)
-        )
 
 
 class TestIncrementalRegistration:
@@ -228,15 +213,38 @@ class TestSnapshot:
             service.query_many_to_many(ids, ids),
         )
 
-    def test_snapshot_preserves_shard_layout(self, fitted_system, tmp_path):
-        _, system = fitted_system
-        sharded = system.to_service(
-            host_ids=[f"h{i}" for i in range(12)], n_shards=4
+    def test_loads_snapshots_that_carry_a_shard_count(self, service, tmp_path):
+        """Older writers added the store's shard count to the header;
+        such files still load, and new ones no longer carry the key."""
+        ids, outgoing, incoming = service.store.export()
+        header = {
+            "format_version": 1,
+            "ids": ids,
+            "landmark_ids": service.landmark_ids,
+            "n_shards": 4,
+        }
+        path = tmp_path / "with-shards.npz"
+        np.savez_compressed(
+            path,
+            header=np.array(json.dumps(header)),
+            outgoing=outgoing,
+            incoming=incoming,
         )
-        path = sharded.save(tmp_path / "sharded.npz")
+        snapshot = load_snapshot(path)
+        assert snapshot.ids == ids
+        np.testing.assert_array_equal(snapshot.outgoing, outgoing)
+        np.testing.assert_array_equal(snapshot.incoming, incoming)
         reloaded = DistanceService.load(path)
-        assert isinstance(reloaded.store, ShardedVectorStore)
-        assert reloaded.store.n_shards == 4
+        reloaded_ids, reloaded_out, reloaded_in = reloaded.store.export()
+        assert reloaded_ids == ids
+        np.testing.assert_array_equal(reloaded_out, outgoing)
+        np.testing.assert_array_equal(reloaded_in, incoming)
+        assert reloaded.landmark_ids == service.landmark_ids
+        assert reloaded.k_nearest("h3", 5) == service.k_nearest("h3", 5)
+
+        saved = service.save(tmp_path / "new.npz")
+        with np.load(saved) as archive:
+            assert "n_shards" not in json.loads(str(archive["header"]))
 
     def test_snapshot_rejects_unserializable_ids(self, tmp_path):
         service = DistanceService(dimension=2)
@@ -285,17 +293,6 @@ class TestHealth:
         assert health.pairs_evaluated == 1 + 4
         assert health.cache_hit_rate == pytest.approx(0.5)
         assert health.n_shards == 0 and health.shard_occupancy == ()
-
-    def test_health_reports_shards(self, fitted_system):
-        _, system = fitted_system
-        service = system.to_service(
-            host_ids=[f"h{i}" for i in range(12)], n_shards=4
-        )
-        health = service.health()
-        assert health.n_shards == 4
-        assert sum(health.shard_occupancy) == 20
-        assert health.shard_imbalance >= 1.0
-        assert "shards=4" in str(health)
 
 
 class FakeClock:

@@ -1,4 +1,4 @@
-"""Tests for the vector-store backends."""
+"""Tests for the vector store and the shard-assignment helpers."""
 
 import sys
 from pathlib import Path
@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.ides import HostVectors
-from repro.serving import (
-    InMemoryVectorStore,
-    QueryEngine,
-    ShardedVectorStore,
-    shard_of,
-)
+from repro.serving import InMemoryVectorStore, QueryEngine, shard_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -113,67 +108,11 @@ class TestInMemoryVectorStore:
         assert outgoing.shape == (0, 4)
 
 
-class TestShardedVectorStore:
+class TestShardOf:
     def test_shard_assignment_is_stable(self):
         for host_id in ["a", "b", 42, "host-7"]:
             assert shard_of(host_id, 8) == shard_of(host_id, 8)
             assert 0 <= shard_of(host_id, 8) < 8
-
-    def test_put_get_across_shards(self):
-        store = ShardedVectorStore(dimension=3, n_shards=4)
-        ids = [f"h{i}" for i in range(40)]
-        for i, host_id in enumerate(ids):
-            store.put(host_id, HostVectors(np.full(3, i), np.full(3, -i)))
-        assert len(store) == 40
-        assert sum(store.occupancy()) == 40
-        assert all(count > 0 for count in store.occupancy())
-        for i, host_id in enumerate(ids):
-            np.testing.assert_array_equal(store.get(host_id).outgoing, np.full(3, i))
-
-    def test_gather_preserves_request_order(self):
-        store = ShardedVectorStore(dimension=2, n_shards=4)
-        ids = [f"h{i}" for i in range(20)]
-        outgoing = np.arange(40.0).reshape(20, 2)
-        store.put_many(ids, outgoing, outgoing)
-        shuffled = ids[::-1]
-        got_out, _ = store.gather(shuffled)
-        np.testing.assert_array_equal(got_out, outgoing[::-1])
-
-    def test_gather_matches_unsharded(self):
-        flat = InMemoryVectorStore(dimension=3)
-        sharded = ShardedVectorStore(dimension=3, n_shards=5)
-        rng = np.random.default_rng(0)
-        ids = [f"n{i}" for i in range(30)]
-        outgoing = rng.random((30, 3))
-        incoming = rng.random((30, 3))
-        flat.put_many(ids, outgoing, incoming)
-        sharded.put_many(ids, outgoing, incoming)
-        subset = ids[7:23]
-        np.testing.assert_array_equal(
-            flat.gather(subset)[0], sharded.gather(subset)[0]
-        )
-        np.testing.assert_array_equal(
-            flat.gather(subset)[1], sharded.gather(subset)[1]
-        )
-
-    def test_delete_routes_to_owning_shard(self):
-        store = ShardedVectorStore(dimension=2, n_shards=3)
-        store.put("a", HostVectors(np.ones(2), np.ones(2)))
-        assert store.delete("a") is True
-        assert len(store) == 0
-        assert store.delete("a") is False
-
-    def test_export_covers_every_shard(self):
-        store = ShardedVectorStore(dimension=2, n_shards=4)
-        ids = [f"h{i}" for i in range(12)]
-        store.put_many(ids, np.ones((12, 2)), np.zeros((12, 2)))
-        exported_ids, outgoing, incoming = store.export()
-        assert sorted(exported_ids) == sorted(ids)
-        assert outgoing.shape == (12, 2)
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValidationError):
-            ShardedVectorStore(dimension=2, n_shards=0)
 
 
 class TestThreadSafety:
@@ -217,13 +156,17 @@ class TestThreadSafety:
         writer_thread.join(timeout=30)
         assert errors == []
 
-    def test_concurrent_churn_on_sharded_store(self):
+    def test_concurrent_churn_against_gather(self):
+        """Every delete moves the last host into the freed row, so
+        gathers racing register/evict churn must still find each seeded
+        host with its own vectors."""
         import threading
 
         rng = np.random.default_rng(1)
         ids = [f"h{i}" for i in range(120)]
-        store = ShardedVectorStore(dimension=2, n_shards=4, initial_capacity=2)
-        store.put_many(ids, rng.random((120, 2)), rng.random((120, 2)))
+        seeded_out, seeded_in = rng.random((120, 2)), rng.random((120, 2))
+        store = InMemoryVectorStore(dimension=2, initial_capacity=2)
+        store.put_many(ids, seeded_out, seeded_in)
         errors = []
 
         def churn(offset):
@@ -231,7 +174,12 @@ class TestThreadSafety:
                 for i in range(200):
                     host = f"extra-{offset}-{i % 10}"
                     store.put(host, HostVectors(np.ones(2), np.ones(2)))
-                    store.gather(ids[:30])
+                    outgoing, incoming = store.gather(ids[:30])
+                    if not (
+                        np.array_equal(outgoing, seeded_out[:30])
+                        and np.array_equal(incoming, seeded_in[:30])
+                    ):
+                        errors.append("torn gather")
                     store.delete(host)
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(repr(error))
@@ -244,6 +192,7 @@ class TestThreadSafety:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(store) == 120
 
@@ -350,14 +299,6 @@ class TestZeroCopyGather:
             outgoing, store.gather(list(reversed(ids)))[0]
         )
 
-    def test_sharded_store_accepts_copy_flag(self):
-        rng = np.random.default_rng(3)
-        store = ShardedVectorStore(4, n_shards=3)
-        ids = [f"h{i}" for i in range(12)]
-        store.put_many(ids, rng.random((12, 4)), rng.random((12, 4)))
-        outgoing, _ = store.gather(ids, copy=False)
-        np.testing.assert_array_equal(outgoing, store.gather(ids)[0])
-
     def test_zero_copy_engine_matches_copying_engine(self):
         from repro.serving import QueryEngine
 
@@ -389,10 +330,8 @@ def put_hosts(store, rng, hosts):
     store.put_many(list(hosts), dyadic(rng, len(hosts)), dyadic(rng, len(hosts)))
 
 
-def make_scan_store(kind, capacity=64):
-    if kind == "in_memory":
-        return InMemoryVectorStore(SCAN_DIMENSION, initial_capacity=capacity)
-    return ShardedVectorStore(SCAN_DIMENSION, n_shards=3, initial_capacity=capacity)
+def make_scan_store(capacity=64):
+    return InMemoryVectorStore(SCAN_DIMENSION, initial_capacity=capacity)
 
 
 def distinct_distances(store, source_out):
@@ -416,20 +355,18 @@ def assert_matches_oracle(store, source_out, k, exclude):
 
 
 class TestNearestScan:
-    """``VectorStore.nearest`` against the id-list scan it replaced
-    (``benchmarks/harness.py::id_list_nearest``)."""
+    """``InMemoryVectorStore.nearest`` against the id-list scan it
+    replaced (``benchmarks/harness.py::id_list_nearest``)."""
 
-    @pytest.mark.parametrize("kind", ["in_memory", "sharded"])
     @pytest.mark.parametrize(
         "history", ["spare_capacity", "deletes", "re_puts", "empty"]
     )
-    def test_matches_id_list_scan(self, kind, history):
+    def test_matches_id_list_scan(self, history):
         """Spare capacity leaves never-used zero rows (distance 0, they
         would rank first if scored); deletes leave stale vectors behind
-        the stored rows; re-puts refill freed rows. On the sharded store
-        an excluded host is absent from every shard but its own."""
+        the stored rows; re-puts refill freed rows."""
         rng = np.random.default_rng(5)
-        store = make_scan_store(kind)
+        store = make_scan_store()
         if history != "empty":
             put_hosts(store, rng, range(12 if history == "spare_capacity" else 40))
         if history in ("deletes", "re_puts"):
@@ -447,7 +384,6 @@ class TestNearestScan:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        kind=st.sampled_from(["in_memory", "sharded"]),
         capacity=st.integers(1, 8),
         history=st.lists(st.tuples(st.booleans(), st.integers(0, 15)), max_size=40),
         k=st.integers(1, 20),
@@ -455,10 +391,10 @@ class TestNearestScan:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_histories_match_id_list_scan(
-        self, kind, capacity, history, k, exclude, seed
+        self, capacity, history, k, exclude, seed
     ):
         rng = np.random.default_rng(seed)
-        store = make_scan_store(kind, capacity)
+        store = make_scan_store(capacity)
         for is_put, host in history:
             if is_put:
                 put_hosts(store, rng, [host])
@@ -472,7 +408,7 @@ class TestNearestScan:
         """``include_self`` keeps the source in the pool; the default
         excludes it. The counters see one query of every scored host."""
         rng = np.random.default_rng(6)
-        store = make_scan_store("in_memory")
+        store = make_scan_store()
         put_hosts(store, rng, range(30))
         store.delete(4)
         engine = QueryEngine(store)
@@ -491,8 +427,7 @@ class TestNearestScan:
 
     def test_ties_come_out_in_store_row_order(self):
         """A new host takes the next row and a delete moves the last
-        host into the freed row; a sharded store lists its shards in
-        shard order."""
+        host into the freed row."""
         store = InMemoryVectorStore(SCAN_DIMENSION)
         source_out = np.ones(SCAN_DIMENSION)
         for host in "abcde":
@@ -501,16 +436,7 @@ class TestNearestScan:
         store.delete("b")
         assert store.nearest(source_out, 5)[0] == list("aecd")
 
-        sharded = ShardedVectorStore(SCAN_DIMENSION, n_shards=3)
-        hosts = [f"h{i}" for i in range(12)]
-        sharded.put_many(
-            hosts, np.ones((12, SCAN_DIMENSION)), np.ones((12, SCAN_DIMENSION))
-        )
-        assert sharded.nearest(source_out, 12)[0] == sorted(
-            hosts, key=lambda host: shard_of(host, 3)
-        )
-
     def test_k_must_be_positive(self):
-        store = make_scan_store("in_memory")
+        store = make_scan_store()
         with pytest.raises(ValidationError, match="k must be >= 1"):
             store.nearest(np.ones(SCAN_DIMENSION), 0)

@@ -472,9 +472,18 @@ class TestShardServerRpc:
         assert "'ghost'" in str(error)
         assert served == 0
 
-    def test_fanout_is_an_unknown_operation(self):
-        """1:N queries take one ``gather`` round; the op that shipped a
-        source vector to the destination shards is gone."""
+    @pytest.mark.parametrize(
+        "op, fields, arrays",
+        [
+            ("fanout", {"dests": []}, {"source_out": np.ones(DIMENSION)}),
+            ("pairs", {"sources": [], "dests": []}, {}),
+        ],
+        ids=["fanout", "pairs"],
+    )
+    def test_fanout_is_an_unknown_operation(self, op, fields, arrays):
+        """1:N queries and aligned pairs each take one ``gather`` round;
+        the op that shipped a source vector to the destination shards
+        and the per-shard ``pairs`` op are gone."""
 
         async def scenario():
             async with ShardServer(
@@ -483,10 +492,7 @@ class TestShardServerRpc:
                 client = RemoteShardClient(*server.address, retries=0)
                 try:
                     with pytest.raises(ValidationError, match="unknown operation"):
-                        await client.call(
-                            "fanout", {"dests": []},
-                            {"source_out": np.ones(DIMENSION)},
-                        )
+                        await client.call(op, fields, arrays)
                 finally:
                     await client.close()
 
@@ -832,6 +838,29 @@ class TestRouterQueries:
         values, served = run(scenario())
         np.testing.assert_allclose(values, reference.pairs(sources, destinations))
         assert served == [1, 1, 1]
+
+    def test_k_nearest_ties_keep_shard_order_then_each_shards_order(self):
+        """Equal distances merge in shard order; within a shard they keep
+        store order on a full scan and pool order with a candidate pool."""
+        hosts = [f"t{i}" for i in range(12)]
+        assert {shard_of(host, 3) for host in hosts} == {0, 1, 2}
+        ones = np.ones((len(hosts), DIMENSION))
+
+        def by_shard(ids):
+            return sorted(ids, key=lambda host: shard_of(host, 3))
+
+        async def scenario():
+            async with _Cluster(3, (hosts, ones, ones)) as cluster:
+                full = await cluster.router.k_nearest("t0", 11)
+                pooled = await cluster.router.k_nearest(
+                    "t0", 11, candidate_ids=hosts[::-1]
+                )
+                return full, pooled
+
+        full, pooled = run(scenario())
+        assert [host for host, _ in full] == by_shard(hosts[1:])
+        assert [host for host, _ in pooled] == by_shard(hosts[:0:-1])
+        assert {value for _, value in full + pooled} == {float(DIMENSION)}
 
     def test_gather_returns_store_rows(self, vectors):
         ids, outgoing, incoming = vectors

@@ -90,7 +90,7 @@ class TestServe:
                 [
                     "serve", "build", str(path),
                     "--dataset", "nlanr", "--landmarks", "15",
-                    "--dimension", "8", "--shards", "4", "--seed", "1",
+                    "--dimension", "8", "--seed", "1",
                 ]
             )
             == 0
@@ -134,7 +134,7 @@ class TestServe:
     def test_health(self, snapshot_path, capsys):
         assert main(["serve", "health", str(snapshot_path)]) == 0
         output = capsys.readouterr().out
-        assert "hosts=110" in output and "shards=4" in output
+        assert "hosts=110" in output and "shards=" not in output
 
     def test_missing_snapshot_fails(self, tmp_path, capsys):
         assert main(["serve", "health", str(tmp_path / "absent.npz")]) == 2

@@ -94,7 +94,6 @@ def main(argv: list[str] | None = None) -> int:
                     outgoing=outgoing,
                     incoming=incoming,
                     landmark_ids=[],
-                    n_shards=N_SLICES,
                 ),
                 Path(workdir) / "chaos-seed.npz",
             )
