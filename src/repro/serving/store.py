@@ -282,14 +282,19 @@ class InMemoryVectorStore:
             return winners, distances[top], stored - skip
 
     def export(self) -> tuple[list, np.ndarray, np.ndarray]:
-        """``(ids, X, Y)`` for every stored host (bulk snapshot)."""
+        """``(ids, X, Y)`` for every stored host (bulk snapshot).
+
+        Hosts come out in row order, which after a delete differs from
+        insertion order; snapshots and ``store_digest`` do not depend
+        on it. The matrices are copies of the ``n`` stored rows.
+        """
         with self._lock:
-            identifiers = self.ids()
-            if not identifiers:
-                empty = np.zeros((0, self._dimension))
-                return [], empty, empty.copy()
-            outgoing, incoming = self.gather(identifiers)
-            return identifiers, outgoing, incoming
+            stored = len(self._id_of_row)
+            return (
+                list(self._id_of_row),
+                self._outgoing[:stored].copy(),
+                self._incoming[:stored].copy(),
+            )
 
     def ids(self) -> list:
         """All stored identifiers."""

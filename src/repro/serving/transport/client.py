@@ -2,18 +2,24 @@
 
 :class:`RemoteShardClient` owns a small pool of TCP connections to one
 :class:`~repro.serving.transport.server.ShardServer`. Every connection
-is **pipelined**: a per-connection reader task resolves response
-frames to their awaiting callers by request id, so a single socket
-carries up to ``max_in_flight`` concurrent RPCs and the pool
-multiplies that.
+is **pipelined**: it is an :class:`asyncio.Protocol` whose
+``data_received`` parses response frames and resolves each caller's
+future by request id, so a single socket carries up to
+``max_in_flight`` concurrent RPCs and the pool multiplies that. A call
+on an open connection with a free slot writes its frame with one
+``transport.write`` and awaits its future: no task, and no event-loop
+turn beyond the response's own.
 
 ``max_in_flight`` is a hard admission bound: a caller beyond it waits
-on the connection's slot semaphore (the wait counts against its
-timeout) instead of piling more request ids onto the socket. A call
-that times out leaves its request outstanding on the server, so its
-request id is **quarantined** — skipped by the id counter — until the
-late response arrives and is dropped; a wrapped counter can therefore
-never deliver an old answer to a new caller.
+on the connection's slot semaphore instead of piling more request ids
+onto the socket. Each attempt has one timeout budget over the dial,
+the slot wait, the wait for a paused transport (the server is not
+reading) and the response; the response's share is a loop timer on
+its future, not a task. A call that times out leaves its request
+outstanding on the server, so its request id is **quarantined** —
+skipped by the id counter — until the late response arrives and is
+dropped; a wrapped counter can therefore never deliver an old answer
+to a new caller.
 
 Failure policy: every operation in the wire vocabulary is idempotent
 (queries are pure; ``put``/``update``/``delete`` overwrite), so a call
@@ -32,8 +38,7 @@ in-flight pipelined call *immediately* with
 :class:`ShardUnavailableError` — callers must never hang until their
 timeout because the process is tearing down (the frontend's ``stop()``
 relies on this). A connection whose peer dies mid-pipeline rejects
-every pending future exactly once through its reader task's teardown
-path.
+every pending future exactly once, in ``connection_lost``.
 """
 
 from __future__ import annotations
@@ -59,9 +64,9 @@ from .protocol import (
     DEADLINE_FIELD,
     MAX_REQUEST_ID,
     Deadline,
+    FrameReader,
     Message,
-    read_message,
-    write_message,
+    encode_frame,
 )
 
 __all__ = ["RemoteShardClient", "RetryBudget"]
@@ -79,8 +84,8 @@ _ERROR_TYPES = {
 _BACKOFF_CAP_FACTOR = 32.0
 
 #: The floor for a deadline-derived per-attempt timeout: a budget this
-#: small is as good as expired, but a zero timeout would make
-#: ``wait_for`` fail before the dispatch even starts.
+#: small is as good as expired, but a zero timeout would fail the
+#: attempt before its frame is even written.
 _MIN_ATTEMPT_TIMEOUT = 1e-3
 
 
@@ -145,21 +150,21 @@ def _replica(failure: BaseException) -> Exception:
     return ConnectionResetError(str(failure))
 
 
-class _ShardConnection:
-    """One pipelined socket: a reader task resolves request-id futures."""
+def _expire(future: asyncio.Future) -> None:
+    """An attempt's timer: fail a future still waiting with a timeout."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        max_in_flight: int,
-        on_late_response=None,
-    ):
-        self.reader = reader
-        self.writer = writer
+
+class _ShardConnection(asyncio.Protocol):
+    """One pipelined socket: ``data_received`` resolves request-id futures."""
+
+    def __init__(self, max_in_flight: int, on_late_response=None):
+        self.transport: asyncio.Transport | None = None
         self.max_in_flight = max_in_flight
         self._on_late_response = on_late_response
         self.broken = False
+        self._frames = FrameReader()
         self._pending: dict[int, asyncio.Future] = {}
         #: Request ids whose callers gave up (timeout/cancellation)
         #: while the request was still outstanding on the server. They
@@ -168,7 +173,6 @@ class _ShardConnection:
         #: deliver an old answer to a new caller.
         self._abandoned: set[int] = set()
         self._next_id = 0
-        self._lock = asyncio.Lock()  # serializes frame writes
         #: Admitted calls (in flight or waiting for a slot) — the
         #: pool's load-balancing signal.
         self._load = 0
@@ -176,9 +180,10 @@ class _ShardConnection:
         #: waits here for a slot instead of piling another request id
         #: onto the connection.
         self._slots = asyncio.Semaphore(max_in_flight)
-        self._reader_task: asyncio.Task | None = asyncio.create_task(
-            self._read_loop(), name="shard-connection-reader"
-        )
+        #: While the transport is paused (the server is not reading),
+        #: callers wait in ``_write_waiters`` instead of adding frames.
+        self._write_paused = False
+        self._write_waiters: list[asyncio.Future] = []
 
     @property
     def in_flight(self) -> int:
@@ -196,43 +201,54 @@ class _ShardConnection:
         return self._load >= self.max_in_flight
 
     # ------------------------------------------------------------------ #
-    # the demultiplexer
+    # protocol callbacks: the demultiplexer and flow control
     # ------------------------------------------------------------------ #
 
-    async def _read_loop(self) -> None:
-        failure: BaseException = ConnectionResetError(
-            "server closed the connection with calls in flight"
-        )
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
         try:
-            while True:
-                response = await read_message(self.reader)
-                if response is None:  # clean EOF
-                    break
-                if response.request_id in self._abandoned:
-                    # The late answer to a call whose caller gave up:
-                    # drop the frame, lift the id's quarantine (it is
-                    # now safe to reissue), and let the client count it.
+            response = self._frames.next_message()
+            while response is not None:
+                future = self._pending.pop(response.request_id, None)
+                if future is not None and not future.done():
+                    future.set_result(response)
+                else:
+                    # The late answer to a call whose caller gave up,
+                    # or an id this client never issued: drop the
+                    # frame, lift the id's quarantine (it is now safe to
+                    # reissue), and let the client count it.
                     self._abandoned.discard(response.request_id)
                     if self._on_late_response is not None:
                         self._on_late_response()
-                    continue
-                else:
-                    future = self._pending.pop(response.request_id, None)
-                    if future is None and self._on_late_response is not None:
-                        # Not pending, not quarantined: an id this
-                        # client never issued. Drop it, but count it.
-                        self._on_late_response()
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (ConnectionError, OSError, ProtocolError) as broken:
-            failure = broken
-        finally:
-            # _mark_broken (not just the flag): a clean server EOF
-            # leaves the half-closed transport open on our side, and
-            # _prune would drop the last reference without ever closing
-            # the socket — a CLOSE_WAIT fd leak per server restart.
-            self._mark_broken()
-            self._fail_pending(failure)
+                response = self._frames.next_message()
+        except ProtocolError as broken:
+            self.close(broken)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.broken = True
+        self._fail_pending(
+            exc
+            if exc is not None
+            else ConnectionResetError(
+                "server closed the connection with calls in flight"
+            )
+        )
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake_writers()
+
+    def _wake_writers(self) -> None:
+        waiters, self._write_waiters = self._write_waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
 
     def _fail_pending(self, failure: BaseException) -> None:
         """Reject every in-flight call exactly once."""
@@ -243,6 +259,8 @@ class _ShardConnection:
         for future in pending.values():
             if not future.done():
                 future.set_exception(_replica(failure))
+        # Callers waiting to write are among the rejected: wake them.
+        self._wake_writers()
 
     def _claim_id(self) -> int:
         """A request id that is neither in flight nor quarantined.
@@ -271,74 +289,83 @@ class _ShardConnection:
     # ------------------------------------------------------------------ #
 
     async def call(
-        self, request: dict, arrays: dict[str, np.ndarray] | None
+        self,
+        request: dict,
+        arrays: dict[str, np.ndarray] | None,
+        expires_at: float,
     ) -> Message:
-        """Write one request frame and await its response frame."""
+        """Write one request frame and await its response frame.
+
+        ``expires_at`` (event-loop time) bounds the whole call: the
+        wait for a slot, for a paused transport, and for the response,
+        which a loop timer fails with :class:`asyncio.TimeoutError`.
+        """
+        loop = asyncio.get_running_loop()
         self._load += 1
         try:
-            async with self._slots:  # wait for a pipeline slot
-                return await self._call_pipelined(request, arrays)
+            if self._slots.locked():
+                await asyncio.wait_for(
+                    self._slots.acquire(), expires_at - loop.time()
+                )
+            else:
+                await self._slots.acquire()  # returns without yielding
+            try:
+                if self.broken:
+                    # The connection died while this caller waited for
+                    # a slot: fail retriably instead of hanging.
+                    raise ConnectionResetError(
+                        "connection closed while waiting for a pipeline slot"
+                    )
+                request_id = self._claim_id()
+                # Encoding fails only this call: nothing is registered
+                # or written yet. A field JSON cannot encode is the
+                # caller's bad input; an encode-time ProtocolError (a
+                # reserved key, a non-wire dtype) stays one.
+                try:
+                    frame = encode_frame(request, arrays, request_id)
+                except (TypeError, ValueError) as unencodable:
+                    raise ValidationError(
+                        f"cannot encode {request.get('op')!r} request: "
+                        f"{unencodable}"
+                    ) from None
+                future = loop.create_future()
+                self._pending[request_id] = future
+                sent = False
+                try:
+                    while self._write_paused and not future.done():
+                        await self._writable(loop, expires_at)
+                    if not future.done():
+                        self.transport.write(frame)
+                        sent = True
+                    timer = loop.call_at(expires_at, _expire, future)
+                    try:
+                        return await future
+                    finally:
+                        timer.cancel()
+                finally:
+                    # A timeout or cancellation lands here with the id
+                    # still registered. A request on the wire is still
+                    # outstanding on the server, so its id is
+                    # quarantined until the late response arrives; an
+                    # unsent one frees its id at once.
+                    if self._pending.pop(request_id, None) is not None:
+                        if sent and not self.broken:
+                            self._abandoned.add(request_id)
+            finally:
+                self._slots.release()
         finally:
             self._load -= 1
 
-    async def _call_pipelined(
-        self, request: dict, arrays: dict[str, np.ndarray] | None
-    ) -> Message:
-        if self.broken:
-            # The connection died while this caller waited for a slot:
-            # its future would never resolve (the reader is gone), so
-            # fail retriably instead of hanging until the timeout.
-            raise ConnectionResetError(
-                "connection closed while waiting for a pipeline slot"
-            )
-        request_id = self._claim_id()
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        sent = False
+    async def _writable(self, loop, expires_at: float) -> None:
+        """Wait, within the budget, for the transport to resume writing
+        (or for the connection to fail)."""
+        waiter = loop.create_future()
+        self._write_waiters.append(waiter)
+        timer = loop.call_at(expires_at, _expire, waiter)
         try:
-            async with self._lock:
-                try:
-                    await write_message(
-                        self.writer, request, arrays, request_id=request_id
-                    )
-                    sent = True
-                except asyncio.CancelledError:
-                    # Inside write_message the first await comes after
-                    # the (synchronous) transport write, so a
-                    # cancellation landing here — e.g. the caller's
-                    # timeout expiring during the drain — finds the
-                    # frame fully queued: the stream stays
-                    # well-framed and the socket stays healthy for the
-                    # other pipelined calls. The quarantine below
-                    # handles the eventual response.
-                    sent = True
-                    raise
-                except BaseException:
-                    # A genuine transport failure (reset, encode bug):
-                    # poison the connection.
-                    self._mark_broken()
-                    raise
-            return await future
+            await waiter
         finally:
-            # Normally the read loop already popped the id. A timeout
-            # (or any cancellation) lands here with the entry still
-            # registered; if the request actually reached the wire it
-            # is still outstanding on the server, so quarantine the id:
-            # a wrapped counter cannot reassign it before the late
-            # response arrives — the read loop drops that response and
-            # lifts the quarantine. A call cancelled before its frame
-            # was queued (waiting for the write lock) frees its id
-            # immediately: no response will ever come for it.
-            if self._pending.pop(request_id, None) is not None:
-                if sent and not self.broken:
-                    self._abandoned.add(request_id)
-
-    def _mark_broken(self) -> None:
-        self.broken = True
-        try:
-            self.writer.close()
-        except Exception:  # noqa: BLE001 - already-broken transport
-            pass
+            timer.cancel()
 
     def close(self, failure: BaseException | None = None) -> None:
         """Tear the socket down; pending calls get ``failure`` (or a
@@ -349,13 +376,8 @@ class _ShardConnection:
             if failure is not None
             else ConnectionResetError("connection closed")
         )
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            self._reader_task = None
-        try:
-            self.writer.close()
-        except Exception:  # noqa: BLE001 - already-broken transport
-            pass
+        if self.transport is not None:
+            self.transport.close()
 
 
 class RemoteShardClient:
@@ -531,12 +553,12 @@ class RemoteShardClient:
 
     async def _dial(self) -> _ShardConnection:
         self._check_open()
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        connection = _ShardConnection(
-            reader,
-            writer,
-            self.max_in_flight,
-            on_late_response=self._note_late_response,
+        _, connection = await asyncio.get_running_loop().create_connection(
+            lambda: _ShardConnection(
+                self.max_in_flight, on_late_response=self._note_late_response
+            ),
+            self.host,
+            self.port,
         )
         if self._closed:
             # close() ran while the socket was connecting: it cannot
@@ -578,34 +600,39 @@ class RemoteShardClient:
             self._connections.remove(connection)
             surplus -= 1
 
+    def _least_loaded(self) -> _ShardConnection | None:
+        """The least-loaded open socket with a free slot, if any."""
+        self._prune()
+        candidates = [c for c in self._connections if not c.saturated]
+        if candidates:
+            return min(candidates, key=lambda c: c.load)
+        return None
+
     async def _connection(self, fresh: bool) -> _ShardConnection:
-        """A usable connection: least-loaded open socket, or a new dial.
+        """A connection when no pooled socket has a free slot: a new
+        dial, or a queue on the least-loaded socket.
 
         ``fresh`` (retry attempts) never reuses a pooled socket — after
         a server restart every one of them may be dead, and each broken
         socket announces itself only when touched.
         """
-        self._prune()
         if fresh:
             # Retry semantics: never reuse a possibly-stale socket. The
             # dial can push the pool past its cap (the stale sockets it
             # distrusts may turn out healthy), so retire idle surplus
             # afterwards or repeated timeouts would leak sockets.
+            self._prune()
             connection = await self._dial()
             self._retire_surplus(keep=connection)
             return connection
-        candidates = [c for c in self._connections if not c.saturated]
-        if candidates:
-            return min(candidates, key=lambda c: c.load)
         # Serialize dials: a burst of first calls must share the one
         # socket the first of them opens, not race the pool cap.
         if self._dialing is None:
             self._dialing = asyncio.Lock()
         async with self._dialing:
-            self._prune()
-            candidates = [c for c in self._connections if not c.saturated]
-            if candidates:
-                return min(candidates, key=lambda c: c.load)
+            connection = self._least_loaded()
+            if connection is not None:
+                return connection
             if len(self._connections) < self.pool_size:
                 return await self._dial()
         # Every socket is saturated and the pool is at its cap: queue
@@ -746,9 +773,8 @@ class RemoteShardClient:
             self.attempts += 1
             tried += 1
             try:
-                response = await asyncio.wait_for(
-                    self._call_once(attempt_request, arrays, fresh=attempt > 0),
-                    attempt_timeout,
+                response = await self._call_once(
+                    attempt_request, arrays, attempt > 0, attempt_timeout
                 )
             except ShardUnavailableError:
                 # close() rejected the in-flight future: fail fast, the
@@ -797,20 +823,26 @@ class RemoteShardClient:
         self,
         request: dict,
         arrays: dict[str, np.ndarray] | None,
-        fresh: bool = False,
+        fresh: bool,
+        timeout: float,
     ) -> Message:
-        connection = await self._connection(fresh)
-        return await connection.call(request, arrays)
+        """One attempt, bounded by ``timeout`` seconds from now over the
+        dial, the slot wait, the write wait and the response."""
+        loop = asyncio.get_running_loop()
+        expires_at = loop.time() + timeout
+        connection = None if fresh else self._least_loaded()
+        if connection is None:
+            connection = await asyncio.wait_for(
+                self._connection(fresh), timeout
+            )
+        return await connection.call(request, arrays, expires_at)
 
     def _unwrap(self, response: Message) -> Message:
         if response.fields.get("ok"):
-            fields = dict(response.fields)
-            fields.pop("ok", None)
-            return Message(
-                fields=fields,
-                arrays=response.arrays,
-                request_id=response.request_id,
-            )
+            # The decoded frame belongs to this caller alone: strip its
+            # "ok" in place.
+            del response.fields["ok"]
+            return response
         error_type = str(response.fields.get("error", "RemoteShardError"))
         message = str(response.fields.get("message", "unspecified remote error"))
         if error_type == "OverloadedError":

@@ -74,6 +74,7 @@ __all__ = [
     "Message",
     "encode_frame",
     "decode_frame",
+    "FrameReader",
     "read_message",
     "write_message",
 ]
@@ -96,6 +97,9 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: The fixed 16-byte frame prelude (see the module docstring).
 PRELUDE = struct.Struct("!4sBBHII")
+
+#: The header's JSON encoder, built once rather than per frame.
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 #: dtypes allowed on the wire. Everything the serving stack ships is
 #: float64 matrices or int64 index vectors; an allowlist means a
@@ -161,7 +165,7 @@ class Deadline:
             return None
         try:
             remaining_ms = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # e.g. a 400-digit int
             return None
         if not np.isfinite(remaining_ms):
             return None
@@ -269,9 +273,7 @@ def encode_frame(
             body_length += view.nbytes
         # zero-size payloads contribute no body bytes (and memoryview
         # cannot cast shapes containing zeros)
-    header = json.dumps(
-        {**fields, "arrays": manifest}, separators=(",", ":")
-    ).encode("utf-8")
+    header = _HEADER_ENCODER.encode({**fields, "arrays": manifest}).encode("utf-8")
     frame_length = PRELUDE.size + len(header) + body_length
     if frame_length > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -384,6 +386,44 @@ def decode_frame(frame: bytes) -> Message:
         memoryview(frame)[header_end:],
         request_id,
     )
+
+
+class FrameReader:
+    """Incremental frame parser for ``asyncio.Protocol`` connections.
+
+    :meth:`feed` buffers whatever bytes arrived; :meth:`next_message`
+    takes one whole frame at a time, by the same rules as
+    :func:`read_message`, so a caller can stop between frames. Each
+    body is copied into its own ``bytes``: decoded arrays stay
+    read-only views that outlive the buffer.
+    """
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def next_message(self) -> Message | None:
+        """The next whole message, or None until more bytes arrive;
+        :class:`ProtocolError` means the stream lost its framing."""
+        buffer = self._buffer
+        if len(buffer) < PRELUDE.size:
+            return None
+        request_id, header_length, body_length = _decode_prelude(
+            buffer[: PRELUDE.size]
+        )
+        header_end = PRELUDE.size + header_length
+        frame_end = header_end + body_length
+        if len(buffer) < frame_end:
+            return None
+        with memoryview(buffer) as view:
+            header = bytes(view[PRELUDE.size : header_end])
+            body = bytes(view[header_end:frame_end])
+        del buffer[:frame_end]
+        return _decode_payload(header, body, request_id)
 
 
 async def read_message(reader: asyncio.StreamReader) -> Message | None:

@@ -7,23 +7,29 @@ deployment: it owns exactly one
 local :class:`~repro.serving.engine.QueryEngine`, and answers the RPC
 vocabulary of ``docs/wire-protocol.md`` over length-prefixed frames.
 
-Every frame carries a request id, and the connection loop spawns one
-task per request: requests **pipeline** (their ``work_delay``/service
-time overlaps) and responses may return out of order, each echoing
+Every connection is an :class:`asyncio.Protocol` that parses frames as
+bytes arrive. The callback that decoded a burst of frames first admits
+them all (so the whole burst counts toward ``max_inflight``), then
+answers them: the deadline check, the handler, the encode and one
+``transport.write`` run back to back, with no task and no await, so
+only the server's own event loop writes its store and every store
+mutation is atomic. The vector-carrying handlers gather row *views*
+out of the store (``InMemoryVectorStore.gather(copy=False)``), and the
+codec copies them into the frame before the callback returns, so no
+response aliases store rows once it is queued. With ``work_delay``
+the answer waits on a loop timer instead: requests **pipeline** (their
+delays overlap) and responses may return out of order, each echoing
 its request id. Per-request isolation holds: a failing handler
-produces an error frame for its own request id and nothing else. Only
-the server's own event loop writes its store, and handler bodies run
-synchronously between awaits on that loop, so per-request store
-mutations are atomic without extra locking.
+produces an error frame for its own request id and nothing else.
 
-Each connection sends one response at a time: a per-connection lock
-covers the handler, the frame write and the drain. The vector-carrying
-handlers gather row *views* out of the store
-(``InMemoryVectorStore.gather(copy=False)``), and the codec copies
-them into the frame before the first await, so no response aliases
-store rows once it is queued. A peer that stops reading therefore
-holds at most one response beyond the transport's high-water mark and
-stalls only its own connection.
+Two bounds hold per connection. At ``max_pipeline`` admitted but
+unanswered requests the connection stops reading; and when the peer
+stops reading (the transport pauses writing) it stops answering and
+reading until the transport drains. A peer that stops reading
+therefore holds at most the responses already encoded and stalls only
+its own connection. A connection that closes (the peer's EOF, a bad
+frame, ``stop``) flushes its queued answers for at most a second and
+is then aborted.
 
 Error discipline: a request that fails validation gets an error frame
 naming the exception type and message, and the connection stays up; a
@@ -46,6 +52,7 @@ import asyncio
 import multiprocessing
 import queue
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +65,6 @@ from ...exceptions import (
     DeadlineExceededError,
     OverloadedError,
     ProtocolError,
-    ReproError,
     TransportError,
     ValidationError,
 )
@@ -69,9 +75,9 @@ from ..store import InMemoryVectorStore, shard_of
 from .protocol import (
     PROTOCOL_VERSION,
     Deadline,
+    FrameReader,
     Message,
-    read_message,
-    write_message,
+    encode_frame,
 )
 
 __all__ = ["ShardServer", "ShardProcess", "run_shard_server", "spawn_shard_process"]
@@ -81,7 +87,15 @@ def _is_wire_id(value) -> bool:
     return isinstance(value, (str, int))
 
 
+#: The types of a wire id after JSON decoding (``bool`` is an ``int``).
+_WIRE_ID_TYPES = {str, int, bool}
+
+
 def _check_wire_ids(host_ids: list) -> list:
+    # One pass over the ids' types; the loop below only names the
+    # first bad id.
+    if set(map(type, host_ids)) <= _WIRE_ID_TYPES:
+        return host_ids
     for host_id in host_ids:
         if not _is_wire_id(host_id):
             raise ValidationError(
@@ -135,16 +149,18 @@ class ShardServer:
             request — a test/benchmark hook modeling network and
             compute latency deterministically, never set in real
             deployments. Pipelined requests overlap their delays.
-        max_pipeline: outstanding requests allowed per connection
-            before the read loop stops accepting more (backpressure
-            against a peer that writes faster than it reads).
-        max_inflight: **server-wide** admission bound: requests queued
-            plus in flight across every connection. A request beyond
-            it is *rejected* — an :class:`OverloadedError` error frame
-            carrying a ``retry_after`` hint — instead of queued, so a
-            saturated shard sheds excess load explicitly rather than
-            letting every caller wait out its timeout. None (the
-            default) keeps the legacy queue-everything behaviour.
+        max_pipeline: admitted but unanswered requests allowed per
+            connection before it stops reading (backpressure against a
+            peer that writes faster than it reads).
+        max_inflight: **server-wide** admission bound: admitted but
+            unanswered requests across every connection, a burst of
+            pipelined frames counted as a whole before any of it is
+            answered. A request beyond it is *rejected* — an
+            :class:`OverloadedError` error frame carrying a
+            ``retry_after`` hint — instead of queued, so a saturated
+            shard sheds excess load explicitly rather than letting
+            every caller wait out its timeout. None (the default)
+            keeps the legacy queue-everything behaviour.
         journal: a prebuilt :class:`~repro.serving.journal.ShardJournal`
             to record mutations into. When the journal carries entries
             loaded from its on-disk segments, they are replayed into
@@ -208,6 +224,8 @@ class ShardServer:
         self._port = int(port)
         self._server: asyncio.base_events.Server | None = None
         self._stopped: asyncio.Event | None = None
+        self._stopping: asyncio.Task | None = None  # a shutdown RPC's stop()
+        self._connections: set[_ServerConnection] = set()
         self.connections_rejected = 0
         self.pipelined_requests = 0
         #: Admitted requests currently queued or in flight, server-wide.
@@ -247,17 +265,20 @@ class ShardServer:
         if self._server is not None:
             return self.address
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServerConnection(self), self._host, self._port
         )
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting and release the listening socket."""
+        """Stop accepting, close every connection (each flushes its
+        queued answers first) and release the listening socket."""
         if self._server is None:
             return
         server, self._server = self._server, None
         server.close()
+        for connection in list(self._connections):
+            connection.close()
         try:
             # 3.12's wait_closed also drains live client connections; a
             # router pool keeping idle sockets open must not wedge the
@@ -328,7 +349,7 @@ class ShardServer:
                        "Requests queued or in flight, server-wide.",
                        shard, self.inflight_requests),
                 Sample("ides_server_pipelined_requests_total", "counter",
-                       "Requests dispatched to pipelined handler tasks.",
+                       "Requests admitted past the overload check.",
                        shard, self.pipelined_requests),
                 Sample("ides_server_connections_rejected_total", "counter",
                        "Connections dropped for protocol violations.",
@@ -379,83 +400,48 @@ class ShardServer:
         }
 
     # ------------------------------------------------------------------ #
-    # connection loop
+    # request path (called from _ServerConnection callbacks)
     # ------------------------------------------------------------------ #
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # One task set so a dying connection cancels its outstanding
-        # work; one semaphore bounds outstanding pipelined requests —
-        # when a client writes faster than it reads answers, the read
-        # loop stalls here and TCP backpressure does the rest. One lock
-        # sends this connection's responses one at a time, so a peer
-        # that stops reading queues at most one response in its
-        # transport, and stalls nobody else.
-        tasks: set[asyncio.Task] = set()
-        in_flight = asyncio.Semaphore(self.max_pipeline)
-        lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    request = await read_message(reader)
-                except ProtocolError as broken:
-                    # Poisoned connection: best-effort error frame, then
-                    # hang up. The listener and every other connection
-                    # keep serving.
-                    self.connections_rejected += 1
-                    await self._try_error(writer, lock, broken)
-                    return
-                if request is None:  # clean EOF
-                    return
-                # Admission: reject-don't-queue. The check runs before
-                # any slot wait, so a saturated shard answers the
-                # excess request *immediately* with an overload frame
-                # instead of letting it wait out the caller's timeout
-                # in a queue it will never clear.
-                if (
-                    self.max_inflight is not None
-                    and self.inflight_requests >= self.max_inflight
-                ):
-                    self.overload_rejections += 1
-                    await self._try_error(
-                        writer,
-                        lock,
-                        OverloadedError(
-                            f"shard {self.shard_index} is saturated "
-                            f"({self.inflight_requests} requests in "
-                            f"flight, max_inflight={self.max_inflight})"
-                        ),
-                        request=request,
-                        extra_fields={"retry_after": self._retry_after()},
-                    )
-                    continue
-                # Pipelined: keep reading; this request's service time
-                # overlaps every other in-flight request's, and its
-                # response frame carries its request id.
-                await in_flight.acquire()
-                self.pipelined_requests += 1
-                self.inflight_requests += 1
-                task = asyncio.create_task(
-                    self._answer_pipelined(writer, lock, request, in_flight)
+    def _admit(self, connection: _ServerConnection, request: Message) -> None:
+        """Admit one decoded request onto its connection, due at once
+        or after ``work_delay``, or reject it with an overload frame."""
+        # Admission: reject-don't-queue. A saturated shard answers the
+        # excess request *immediately* with an overload frame instead
+        # of letting it wait out the caller's timeout in a queue it
+        # will never clear.
+        if (
+            self.max_inflight is not None
+            and self.inflight_requests >= self.max_inflight
+        ):
+            self.overload_rejections += 1
+            connection.transport.write(
+                self._error_frame(
+                    OverloadedError(
+                        f"shard {self.shard_index} is saturated "
+                        f"({self.inflight_requests} requests in "
+                        f"flight, max_inflight={self.max_inflight})"
+                    ),
+                    request.request_id,
+                    {"retry_after": self._retry_after()},
                 )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionError, asyncio.CancelledError):
+            )
             return
-        finally:
-            for task in tasks:
-                task.cancel()
-            writer.close()
-            try:
-                # close() flushes buffered data first, so a peer that
-                # stopped reading could wedge this teardown forever:
-                # bound the wait and abort as the backstop.
-                await asyncio.wait_for(writer.wait_closed(), timeout=1.0)
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-            except asyncio.TimeoutError:  # pragma: no cover - stuck peer
-                writer.transport.abort()
+        deadline = Deadline.from_fields(request.fields)
+        if deadline is not None and self._deadline_remaining is not None:
+            self._deadline_remaining.observe(deadline.remaining())
+        # Counted last: nothing below raises, so every admitted request
+        # is given back by its answer or by connection_lost.
+        self.pipelined_requests += 1
+        self.inflight_requests += 1
+        connection.outstanding += 1
+        if self.work_delay:
+            asyncio.get_running_loop().call_later(
+                self.work_delay, connection.delay_elapsed,
+                request, deadline, time.perf_counter(),
+            )
+        else:
+            connection.due.append((request, deadline, None))
 
     def _retry_after(self) -> float:
         """The overload rejection's backoff hint, in seconds.
@@ -467,77 +453,55 @@ class ShardServer:
         """
         return max(0.05, self.work_delay)
 
-    async def _try_error(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        error: Exception,
-        request: Message | None = None,
-        extra_fields: dict | None = None,
-    ) -> None:
-        # A frame that never decoded has no request id to echo: id 0.
-        request_id = request.request_id if request is not None else 0
-        try:
-            async with lock:
-                await write_message(
-                    writer,
-                    {
-                        "ok": False,
-                        "error": type(error).__name__,
-                        "message": str(error),
-                        **(extra_fields or {}),
-                    },
-                    request_id=request_id,
-                )
-        except (ConnectionError, OSError):  # pragma: no cover - peer is gone
-            pass
+    @staticmethod
+    def _error_frame(
+        error: Exception, request_id: int = 0, extra_fields: dict | None = None
+    ) -> bytes:
+        """An error frame naming ``error``; a frame that never decoded
+        has no request id to echo, so it gets id 0."""
+        return encode_frame(
+            {
+                "ok": False,
+                "error": type(error).__name__,
+                "message": str(error),
+                **(extra_fields or {}),
+            },
+            request_id=request_id,
+        )
 
-    async def _answer_pipelined(
+    def _answer(
         self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+        connection: _ServerConnection,
         request: Message,
-        in_flight: asyncio.Semaphore,
+        deadline: Deadline | None,
+        admitted: float | None = None,
     ) -> None:
-        """One spawned request: answer, then release the pipeline slot.
-        The peer hanging up mid-answer is normal connection churn,
-        never an unretrieved task exception."""
-        try:
-            await self._answer(writer, lock, request)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self.inflight_requests -= 1
-            in_flight.release()
+        """Answer one request inside its telemetry envelope.
 
-    async def _answer(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, request: Message
-    ) -> None:
-        """Handle one request inside its telemetry envelope.
-
-        With tracing enabled the request runs in a ``server:{op}``
-        span parented on the client's span when the header carried the
+        With tracing enabled the answer runs in a ``server:{op}`` span
+        parented on the client's span when the header carried the
         optional ``trace`` field (a remote parent); with metrics bound
-        the handling latency lands in ``ides_server_request_seconds``.
+        the latency from ``admitted`` (the request's admission, so a
+        ``work_delay`` counts) lands in ``ides_server_request_seconds``.
         Neither configured: exactly the uninstrumented path.
         """
         tracer = get_tracer()
         if not tracer.enabled and self._request_seconds is None:
-            await self._answer_inner(writer, lock, request)
+            self._respond(connection, request, deadline)
             return
         op = str(request.op)
         name = self._server_span_names.get(op)
         if name is None:
             name = self._server_span_names[op] = f"server:{op}"
         parent = TraceContext.from_fields(request.fields)
-        started = time.perf_counter()
+        started = time.perf_counter() if admitted is None else admitted
         with tracer.span(
             name,
             parent=parent,
             attributes=self._span_attributes,
         ):
             try:
-                await self._answer_inner(writer, lock, request)
+                self._respond(connection, request, deadline)
             finally:
                 if self._request_seconds is not None:
                     children = self._op_instruments.get(op)
@@ -549,84 +513,61 @@ class ShardServer:
                     children[0].observe(time.perf_counter() - started)
                     children[1].inc()
 
-    async def _answer_inner(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, request: Message
+    def _respond(
+        self,
+        connection: _ServerConnection,
+        request: Message,
+        deadline: Deadline | None,
     ) -> None:
-        """Handle one request.
+        """Handle one request and write its frame.
 
-        Per-request isolation: any failure becomes an error frame for
-        *this* request id; concurrent pipelined requests never see it.
+        Per-request isolation: any failure, an encode failure
+        included, becomes an error frame for *this* request id.
 
-        The handler, the response write and its drain run under the
-        connection's lock. The handler may return store views (the
-        ``gather(copy=False)`` path); ``write_message`` copies them
-        into the frame before its first await, so no other task, on
-        any connection, can mutate those rows first. Holding the lock
-        across the drain keeps a peer that stops reading to one queued
-        response.
+        The handler may return store views (the ``gather(copy=False)``
+        path); ``encode_frame`` copies them into the frame before this
+        method returns, and nothing else runs on the loop in between,
+        so no request on any connection can mutate those rows first.
         """
-        deadline = Deadline.from_fields(request.fields)
-        if deadline is not None and self._deadline_remaining is not None:
-            self._deadline_remaining.observe(deadline.remaining())
-        if self.work_delay:
-            await asyncio.sleep(self.work_delay)
-        handler = self._HANDLERS.get(request.op)
-        async with lock:
-            try:
-                # Shed, don't serve: a request whose propagated budget
-                # ran out while it waited (pipeline queue, work_delay,
-                # the connection's lock) has no caller left to care —
-                # doing the work now would only delay the requests that
-                # still have one. The error frame is cheap and explicit.
-                if deadline is not None and deadline.expired():
-                    self.deadline_shed += 1
-                    raise DeadlineExceededError(
-                        f"deadline expired while queued at shard "
-                        f"{self.shard_index}"
-                    )
-                if handler is None:
-                    raise ValidationError(f"unknown operation {request.op!r}")
-                name = self._engine_span_names.get(request.op)
-                if name is None:
-                    name = self._engine_span_names[request.op] = (
-                        f"engine:{request.op}"
-                    )
-                with get_tracer().span(name):
-                    fields, arrays = handler(self, request)
-            except ReproError as error:
-                await self._write_error_locked(writer, error, request)
-                return
-            except asyncio.CancelledError:  # connection teardown
-                raise
-            except Exception as error:  # noqa: BLE001 - a handler bug must
-                # surface at the caller as an error frame, not kill the
-                # shard
-                await self._write_error_locked(writer, error, request)
-                return
-            await write_message(
-                writer,
-                {"ok": True, **fields},
-                arrays,
-                request_id=request.request_id,
+        op = request.op
+        try:
+            # Shed, don't serve: a request whose propagated budget ran
+            # out while it waited (work_delay, a peer that stopped
+            # reading) has no caller left to care — doing the work now
+            # would only delay the requests that still have one.
+            if deadline is not None and deadline.expired():
+                self.deadline_shed += 1
+                raise DeadlineExceededError(
+                    f"deadline expired while queued at shard "
+                    f"{self.shard_index}"
+                )
+            handler = self._HANDLERS.get(op)
+            if handler is None:
+                raise ValidationError(f"unknown operation {op!r}")
+            name = self._engine_span_names.get(op)
+            if name is None:
+                name = self._engine_span_names[op] = f"engine:{op}"
+            with get_tracer().span(name):
+                fields, arrays = handler(self, request)
+            frame = encode_frame(
+                {"ok": True, **fields}, arrays, request.request_id
             )
-        if request.op == "shutdown":
-            asyncio.get_running_loop().call_soon(
-                lambda: asyncio.ensure_future(self.stop())
+        except Exception as error:  # noqa: BLE001 - a handler bug must
+            # surface at the caller as an error frame, not kill the shard
+            if self._errors_total is not None:
+                self._errors_total.labels(op=op).inc()
+            connection.transport.write(
+                self._error_frame(error, request.request_id)
             )
-            # Close the connection so its read loop unblocks.
-            writer.close()
-
-    async def _write_error_locked(
-        self, writer: asyncio.StreamWriter, error: Exception, request: Message
-    ) -> None:
-        """Send an error frame for one request (connection lock held)."""
-        if self._errors_total is not None:
-            self._errors_total.labels(op=str(request.op)).inc()
-        await write_message(
-            writer,
-            {"ok": False, "error": type(error).__name__, "message": str(error)},
-            request_id=request.request_id,
-        )
+            return
+        connection.transport.write(frame)
+        if op == "shutdown":
+            # Answered; close this connection (its buffered answer is
+            # flushed first) and stop the server.
+            connection.close()
+            self._stopping = asyncio.get_running_loop().create_task(
+                self.stop()
+            )
 
     # ------------------------------------------------------------------ #
     # handlers — one per wire operation (docs/wire-protocol.md)
@@ -868,6 +809,103 @@ class ShardServer:
         "digest": _op_digest,
         "shutdown": _op_shutdown,
     }
+
+
+class _ServerConnection(asyncio.Protocol):
+    """One client connection: frames in, answers out, no task.
+
+    ``outstanding`` counts admitted requests not yet answered: those
+    waiting on ``work_delay`` and those in ``due``, ready in order.
+    """
+
+    def __init__(self, server: ShardServer):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.frames = FrameReader()
+        self.outstanding = 0
+        self.due: deque = deque()
+        self.write_paused = False
+        self._abort: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.frames.feed(data)
+        self.serve()
+
+    def serve(self) -> None:
+        """Admit every whole buffered frame the bounds allow, then
+        answer the due requests; repeat while answers free slots.
+
+        Reading pauses at ``max_pipeline`` outstanding requests and
+        while the peer is not reading; frames already buffered wait.
+        A closing connection answers nothing more.
+        """
+        server = self.server
+        transport = self.transport
+        while not (self.write_paused or transport.is_closing()):
+            while (
+                self.outstanding < server.max_pipeline and not self.write_paused
+            ):
+                try:
+                    request = self.frames.next_message()
+                except ProtocolError as broken:
+                    # Poisoned connection: best-effort error frame, then
+                    # hang up. The listener and every other connection
+                    # keep serving.
+                    server.connections_rejected += 1
+                    transport.write(server._error_frame(broken))
+                    self.close()
+                    return
+                if request is None:
+                    break
+                server._admit(self, request)
+            if not self.due:
+                break
+            while self.due and not (
+                self.write_paused or transport.is_closing()
+            ):
+                try:
+                    server._answer(self, *self.due.popleft())
+                finally:
+                    self.outstanding -= 1
+                    server.inflight_requests -= 1
+        if self.write_paused or self.outstanding >= server.max_pipeline:
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    def delay_elapsed(self, *entry) -> None:
+        self.due.append(entry)
+        self.serve()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.serve()
+
+    def close(self) -> None:
+        """Close after flushing the queued answers; abort a peer that
+        has not taken them within a second."""
+        self.transport.close()
+        if self._abort is None:
+            self._abort = asyncio.get_running_loop().call_later(
+                1.0, self.transport.abort
+            )
+
+    def eof_received(self) -> None:
+        self.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+        self.server.inflight_requests -= self.outstanding
+        if self._abort is not None:
+            self._abort.cancel()
 
 
 # ---------------------------------------------------------------------- #

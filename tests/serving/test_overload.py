@@ -101,6 +101,7 @@ class TestDeadline:
         assert Deadline.from_fields({DEADLINE_FIELD: "soon"}) is None
         assert Deadline.from_fields({DEADLINE_FIELD: float("inf")}) is None
         assert Deadline.from_fields({DEADLINE_FIELD: float("nan")}) is None
+        assert Deadline.from_fields({DEADLINE_FIELD: 10**400}) is None
 
     def test_negative_budget_arrives_expired(self):
         clock = FakeClock()

@@ -558,23 +558,32 @@ class TestBackpressureAndTelemetry:
 # ---------------------------------------------------------------------- #
 
 
-class _NullWriter:
-    """A writer stub that swallows frames (for driving _ShardConnection
-    with a hand-fed StreamReader)."""
-
-    transport = None
+class _NullTransport(asyncio.Transport):
+    """A transport stub that counts and swallows frames (for driving a
+    _ShardConnection by hand through its protocol callbacks)."""
 
     def __init__(self):
+        super().__init__()
+        self.writes = 0
         self.closed = False
 
     def write(self, data) -> None:
-        pass
+        self.writes += 1
 
-    async def drain(self) -> None:
-        pass
+    def is_closing(self) -> bool:
+        return self.closed
 
     def close(self) -> None:
         self.closed = True
+
+
+def _connected(transport=None, on_late_response=None) -> _ShardConnection:
+    """A 4-slot _ShardConnection attached to ``transport``."""
+    connection = _ShardConnection(4, on_late_response=on_late_response)
+    connection.connection_made(
+        transport if transport is not None else _NullTransport()
+    )
+    return connection
 
 
 class TestRequestIdQuarantine:
@@ -586,17 +595,12 @@ class TestRequestIdQuarantine:
         old answer."""
 
         async def scenario():
-            reader = asyncio.StreamReader()
             late: list[int] = []
-            connection = _ShardConnection(
-                reader, _NullWriter(), 4,
-                on_late_response=lambda: late.append(1),
-            )
+            connection = _connected(on_late_response=lambda: late.append(1))
+            loop = asyncio.get_running_loop()
             try:
                 with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        connection.call({"op": "ping"}, None), 0.02
-                    )
+                    await connection.call({"op": "ping"}, None, loop.time() + 0.02)
                 assert connection._abandoned == {1}
                 # Wrap the counter back around: the quarantined id must
                 # be skipped, not reissued.
@@ -604,8 +608,7 @@ class TestRequestIdQuarantine:
                 assert connection._claim_id() == 2
                 # The late response arrives: dropped, counted, and the
                 # id returns to circulation.
-                reader.feed_data(encode_frame({"ok": True}, request_id=1))
-                await asyncio.sleep(0.05)
+                connection.data_received(encode_frame({"ok": True}, request_id=1))
                 assert connection._abandoned == set()
                 assert late == [1]
                 connection._next_id = 0
@@ -620,9 +623,7 @@ class TestRequestIdQuarantine:
         TransportError (which the client retries on a fresh socket)."""
 
         async def scenario():
-            connection = _ShardConnection(
-                asyncio.StreamReader(), _NullWriter(), 4
-            )
+            connection = _connected()
             try:
                 connection._abandoned = set(range(MAX_REQUEST_ID + 1))
                 with pytest.raises(TransportError, match="request id"):
@@ -642,7 +643,7 @@ class TestRequestIdQuarantine:
                 "127.0.0.1", 1, retries=2, retry_backoff=0.0, timeout=1.0
             )
 
-            async def exhausted(request, arrays, fresh=False):
+            async def exhausted(request, arrays, fresh, timeout):
                 raise TransportError("no free request id")
 
             client._call_once = exhausted
@@ -771,38 +772,39 @@ class TestScatterWriteFlush:
 
 class TestCancellationDiscipline:
     def test_timeout_during_backpressure_flush_does_not_poison(self):
-        """A caller that times out while its frame still sits unsent
-        in the transport (write_message queues it in one synchronous
-        write) leaves the socket healthy for the other pipelined calls,
-        and its id goes into quarantine."""
+        """A caller that times out while its frame still sits unsent in
+        a transport that paused writing (the frame went in one
+        synchronous write) leaves the socket healthy for the other
+        pipelined calls, and its id goes into quarantine."""
 
         async def scenario():
-            transport, writer = _retaining_writer()
-            reader = asyncio.StreamReader()
             late: list[int] = []
             connection = _ShardConnection(
-                reader, writer, 4,
-                on_late_response=lambda: late.append(1),
+                4, on_late_response=lambda: late.append(1)
             )
+            transport = _RetainingTransport(connection)
+            connection.connection_made(transport)
+            loop = asyncio.get_running_loop()
             try:
+                # 2 x 80 KB: past the 64 KiB high-water mark.
+                big = {"v": np.ones(10_000), "w": np.ones(10_000)}
                 with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        connection.call({"op": "x"}, {"v": np.ones(4)}), 0.05
-                    )
+                    await connection.call({"op": "x"}, big, loop.time() + 0.05)
+                assert transport.writes == 1 and connection._write_paused
                 assert not connection.broken
                 assert connection._abandoned == {1}
                 transport.flush()  # the peer finally drains the frame
+                assert not connection._write_paused
                 # ... and answers late: quarantine lifts, count ticks.
-                reader.feed_data(encode_frame({"ok": True}, request_id=1))
-                await asyncio.sleep(0.05)
+                connection.data_received(encode_frame({"ok": True}, request_id=1))
                 assert connection._abandoned == set()
                 assert late == [1]
                 # The connection still works end to end.
                 follow_up = asyncio.create_task(
-                    connection.call({"op": "y"}, None)
+                    connection.call({"op": "y"}, None, loop.time() + 1.0)
                 )
                 await asyncio.sleep(0.05)
-                reader.feed_data(encode_frame({"ok": True}, request_id=2))
+                connection.data_received(encode_frame({"ok": True}, request_id=2))
                 response = await asyncio.wait_for(follow_up, timeout=1.0)
                 assert response.fields["ok"]
             finally:
@@ -811,18 +813,22 @@ class TestCancellationDiscipline:
         run(scenario())
 
     def test_cancel_before_frame_queued_frees_the_id(self):
-        """A call cancelled while still waiting for the write lock
-        never reached the wire: no response will ever come, so its id
-        must return to circulation instead of being quarantined."""
+        """A call cancelled while it waits for a paused transport to
+        resume writing never reached the wire: no response will ever
+        come, so its id must return to circulation instead of being
+        quarantined."""
 
         async def scenario():
-            connection = _ShardConnection(
-                asyncio.StreamReader(), _NullWriter(), 4
-            )
+            transport = _NullTransport()
+            connection = _connected(transport)
+            loop = asyncio.get_running_loop()
             try:
-                await connection._lock.acquire()  # a long write in flight
-                call = asyncio.create_task(connection.call({"op": "x"}, None))
-                await asyncio.sleep(0.01)  # now queued on the lock
+                connection.pause_writing()  # the server stopped reading
+                call = asyncio.create_task(
+                    connection.call({"op": "x"}, None, loop.time() + 5.0)
+                )
+                await asyncio.sleep(0.01)  # now waiting to write
+                assert transport.writes == 0
                 call.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await call
@@ -831,7 +837,6 @@ class TestCancellationDiscipline:
                 connection._next_id = 0
                 assert connection._claim_id() == 1
             finally:
-                connection._lock.release()
                 connection.close()
 
         run(scenario())
@@ -914,6 +919,45 @@ class TestStalledPeerIsolation:
         run(scenario())
 
 
+    def test_stop_aborts_a_stalled_peer_after_a_second(self):
+        """stop() closes a connection whose peer stopped reading; the
+        queued answer cannot flush, so the connection is aborted after
+        about a second instead of held open."""
+        n_hosts, d = 50_000, 20  # ~8 MB response >> kernel buffers
+        ids = [f"h{i}" for i in range(n_hosts)]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            store = InMemoryVectorStore(d)
+            base = np.ones((n_hosts, d))
+            store.put_many(ids, base, base)
+            async with ShardServer(store=store, shard_index=0, n_shards=1) as server:
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await loop.sock_connect(sock, server.address)
+                _, writer = await asyncio.open_connection(sock=sock)
+                try:
+                    writer.write(
+                        encode_frame({"op": "gather", "out": ids}, request_id=1)
+                    )
+                    await writer.drain()
+                    for _ in range(2000):
+                        if server.engine.queries_served:
+                            break
+                        await asyncio.sleep(0.005)
+                    assert len(server._connections) == 1
+                    await server.stop()
+                    stopped = loop.time()
+                    while server._connections and loop.time() - stopped < 5.0:
+                        await asyncio.sleep(0.05)
+                    return len(server._connections), server.inflight_requests
+                finally:
+                    writer.close()
+
+        assert run(scenario()) == (0, 0)
+
+
 class TestShardIndexAttribution:
     def test_close_rejections_carry_the_shard_index(self):
         """Futures rejected at close() keep shard_index, so per-shard
@@ -940,18 +984,25 @@ class TestShardIndexAttribution:
 class TestConnectionTeardownHygiene:
     def test_clean_server_eof_closes_the_writer(self):
         """A server hanging up cleanly leaves a half-closed transport
-        on the client side; the read loop must close it rather than
+        on the client side; the connection must close it rather than
         let _prune drop the last reference with the fd still open."""
 
+        async def hang_up(reader, writer):
+            writer.close()
+
         async def scenario():
-            reader = asyncio.StreamReader()
-            writer = _NullWriter()
-            connection = _ShardConnection(
-                reader, writer, 4
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            client = RemoteShardClient(
+                *server.sockets[0].getsockname()[:2], retries=0
             )
-            reader.feed_eof()
-            await asyncio.sleep(0.05)
-            assert connection.broken
-            assert writer.closed
+            try:
+                connection = await client._dial()
+                await asyncio.sleep(0.05)
+                assert connection.broken
+                assert connection.transport.is_closing()
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
 
         run(scenario())

@@ -107,6 +107,30 @@ class TestInMemoryVectorStore:
         assert ids == []
         assert outgoing.shape == (0, 4)
 
+    def test_export_matches_get_after_churn(self):
+        """After interleaved put_many, delete and re-put, export holds
+        every stored host once, with the rows get() returns, in copies
+        that later writes do not touch."""
+        rng = np.random.default_rng(5)
+        store = InMemoryVectorStore(dimension=3, initial_capacity=2)
+        ids = [f"h{i}" for i in range(40)]
+        store.put_many(ids, rng.random((40, 3)), rng.random((40, 3)))
+        for host in ids[::7]:
+            store.delete(host)
+        store.put_many(ids[::14], rng.random((3, 3)), rng.random((3, 3)))
+        store.delete(ids[5])
+        store.put_many([ids[5], 99], rng.random((2, 3)), rng.random((2, 3)))
+        exported, outgoing, incoming = store.export()
+        assert len(exported) == len(set(exported)) == len(store)
+        for row, host in enumerate(exported):
+            vectors = store.get(host)
+            np.testing.assert_array_equal(outgoing[row], vectors.outgoing)
+            np.testing.assert_array_equal(incoming[row], vectors.incoming)
+        before = outgoing.copy()
+        zeros = np.zeros((len(exported), 3))
+        store.put_many(exported, zeros, zeros)
+        np.testing.assert_array_equal(outgoing, before)
+
 
 class TestShardOf:
     def test_shard_assignment_is_stable(self):

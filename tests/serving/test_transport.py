@@ -694,6 +694,81 @@ class TestShardServerRpc:
         run(scenario())
 
 
+class TestServerAdmission:
+    """Admission against max_inflight on a server answering inline."""
+
+    def test_pipelined_burst_counts_toward_max_inflight(self):
+        """Without work_delay, a burst of pipelined frames received at
+        once is admitted as a whole before any of it is answered, so
+        max_inflight rejects its excess with overload frames."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1, max_inflight=2
+            ) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                try:
+                    writer.write(
+                        b"".join(
+                            encode_frame({"op": "ping"}, request_id=i)
+                            for i in range(1, 9)
+                        )
+                    )
+                    await writer.drain()
+                    responses = [
+                        await asyncio.wait_for(
+                            protocol.read_message(reader), 5.0
+                        )
+                        for _ in range(8)
+                    ]
+                finally:
+                    writer.close()
+                return (
+                    responses,
+                    server.overload_rejections,
+                    server.inflight_requests,
+                )
+
+        responses, rejections, inflight = run(scenario())
+        by_id = {response.request_id: response for response in responses}
+        assert sorted(by_id) == list(range(1, 9))
+        assert [i for i in by_id if by_id[i].fields["ok"]] == [1, 2]
+        for i in range(3, 9):
+            assert by_id[i].fields["error"] == "OverloadedError"
+            assert by_id[i].fields["retry_after"] > 0
+        assert rejections == 6
+        assert inflight == 0
+
+    def test_overflowing_deadline_field_is_ignored(self):
+        """A deadline_ms too large for a float degrades to no deadline:
+        the request is answered, its connection stays up, and its
+        admission is given back."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1, max_inflight=1
+            ) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                try:
+                    for request_id in (1, 2):
+                        writer.write(
+                            encode_frame(
+                                {"op": "ping", protocol.DEADLINE_FIELD: 10**400},
+                                request_id=request_id,
+                            )
+                        )
+                        response = await asyncio.wait_for(
+                            protocol.read_message(reader), 5.0
+                        )
+                        assert response.request_id == request_id
+                        assert response.fields["ok"] is True
+                finally:
+                    writer.close()
+                return server.inflight_requests, server.overload_rejections
+
+        assert run(scenario()) == (0, 0)
+
+
 class TestClientRetries:
     def test_unreachable_address_raises_shard_unavailable(self):
         async def scenario():
@@ -725,7 +800,7 @@ class TestClientRetries:
                 )
                 await client.call("ping")
                 # Sever the pooled connection behind the client's back.
-                client._connections[0].writer.close()
+                client._connections[0].transport.close()
                 await asyncio.sleep(0.05)
                 response = await client.call("ping")  # must retry cleanly
                 await client.close()
@@ -779,6 +854,138 @@ class TestClientRetries:
                     await client.close()
 
         run(scenario())
+
+
+class TestClientEncodeFailures:
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"out": [np.int64(1)]}, ValidationError),  # not JSON
+            ({"arrays": 1}, ProtocolError),  # the reserved header key
+        ],
+        ids=["json-type", "reserved-key"],
+    )
+    def test_unencodable_call_fails_alone(self, fields, error):
+        """A request that cannot be encoded fails only its own call: the
+        shared connection, and the slow call in flight on it, are
+        untouched, and no retry is spent."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1,
+                work_delay=0.05,
+            ) as server:
+                client = RemoteShardClient(*server.address, pool_size=1)
+                try:
+                    await client.call("ping")
+                    slow = asyncio.create_task(
+                        client.call("gather", {"out": []})
+                    )
+                    await asyncio.sleep(0.01)  # in flight on the socket
+                    with pytest.raises(error) as caught:
+                        await client.call("gather", fields)
+                    response = await slow
+                    assert response.array("outgoing").shape == (0, DIMENSION)
+                    return caught.value, client.retries_used, (
+                        client.open_connections
+                    )
+                finally:
+                    await client.close()
+
+        raised, retries_used, open_connections = run(scenario())
+        if error is ValidationError:
+            assert "gather" in str(raised)
+        assert retries_used == 0
+        assert open_connections == 1
+
+
+class _TaskCounter:
+    """Counts the Tasks a loop creates, through its task factory."""
+
+    def __init__(self, loop):
+        self.created = 0
+        self._loop = loop
+
+    def __call__(self, loop, coroutine, **options):
+        self.created += 1
+        return asyncio.Task(coroutine, loop=loop, **options)
+
+    def __enter__(self):
+        self._loop.set_task_factory(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        self._loop.set_task_factory(None)
+
+
+class TestRpcStructure:
+    """The per-RPC machinery, pinned by counts instead of timers."""
+
+    def test_sequential_rpcs_create_no_tasks(self, vectors):
+        """After the first call has dialed, an RPC on an open
+        connection creates no Task on either side: the client writes
+        and awaits a future, and the server answers in data_received."""
+        ids, outgoing, incoming = vectors
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(*server.address, pool_size=1)
+                try:
+                    await client.call(
+                        "put_many",
+                        {"ids": ids},
+                        {"outgoing": outgoing, "incoming": incoming},
+                    )
+                    loop = asyncio.get_running_loop()
+                    with _TaskCounter(loop) as counter:
+                        for i in range(200):
+                            await client.call("gather", {"out": ids[i % 20:][:3]})
+                    return counter.created
+                finally:
+                    await client.close()
+
+        assert run(scenario()) == 0
+
+    def test_burst_on_one_connection_resolves_every_caller(self, vectors):
+        """64 concurrent gathers share one socket; each caller gets its
+        own rows back, and the server admits every one of them."""
+        ids, outgoing, incoming = vectors
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                client = RemoteShardClient(*server.address, pool_size=1)
+                try:
+                    await client.call(
+                        "put_many",
+                        {"ids": ids},
+                        {"outgoing": outgoing, "incoming": incoming},
+                    )
+                    before = server.pipelined_requests
+                    picks = [ids[i % len(ids)] for i in range(64)]
+                    responses = await asyncio.gather(
+                        *(client.call("gather", {"out": [p]}) for p in picks)
+                    )
+                    return (
+                        picks,
+                        responses,
+                        server.pipelined_requests - before,
+                        client.open_connections,
+                    )
+                finally:
+                    await client.close()
+
+        picks, responses, admitted, open_connections = run(scenario())
+        row_of = {host: row for row, host in enumerate(ids)}
+        for host, response in zip(picks, responses):
+            np.testing.assert_array_equal(
+                response.array("outgoing"), outgoing[[row_of[host]]]
+            )
+        assert admitted == 64
+        assert open_connections == 1
 
 
 # ---------------------------------------------------------------------- #
