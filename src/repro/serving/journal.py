@@ -429,14 +429,22 @@ def store_digest(store) -> str:
     float64 vectors exactly when their digests match — host insertion
     order (which legitimately differs across replicas) is normalized
     away by sorting on ``repr(host_id)``.
+
+    The hash reads a length prefix (dimension, host count and the byte
+    length of the id block), the sorted ids' reprs joined by NUL — the
+    repr of a str or int never holds a raw NUL, so the block splits
+    back into exactly one id per host — and then the ``outgoing`` and
+    ``incoming`` rows in that order as little-endian float64 slabs:
+    four ``update`` calls in all, not four per host.
     """
     ids, outgoing, incoming = store.export()
-    order = sorted(range(len(ids)), key=lambda row: repr(ids[row]))
+    keys = list(map(repr, ids))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    names = "\x00".join(map(keys.__getitem__, order)).encode()
+    rows = np.array(order, dtype=np.intp)
     digest = hashlib.sha256()
-    digest.update(str(store.dimension).encode())
-    for row in order:
-        digest.update(repr(ids[row]).encode())
-        digest.update(b"\x00")
-        digest.update(np.ascontiguousarray(outgoing[row], dtype="<f8").tobytes())
-        digest.update(np.ascontiguousarray(incoming[row], dtype="<f8").tobytes())
+    digest.update(f"{store.dimension}:{len(keys)}:{len(names)}\n".encode())
+    digest.update(names)
+    digest.update(np.ascontiguousarray(outgoing[rows], dtype="<f8"))
+    digest.update(np.ascontiguousarray(incoming[rows], dtype="<f8"))
     return digest.hexdigest()

@@ -1,9 +1,12 @@
 """Snapshot serialization for the distance service.
 
-A snapshot is one compressed ``.npz`` holding the dense vector
+A snapshot is one uncompressed ``.npz`` holding the dense vector
 matrices plus a JSON header (identifiers and landmark set), so a
 service can be fitted once offline and shipped to any number of
 query frontends — the deployment split the IDES architecture implies.
+Float64 model vectors deflate by only about a sixth, and every shard
+process of a cluster reads the file at boot, so the archive is stored,
+not deflated; :func:`load_snapshot` reads deflated files as well.
 
 Identifiers must be JSON-representable scalars (``str`` or ``int``) to
 survive the round trip; richer keys are an in-memory-only convenience.
@@ -52,6 +55,8 @@ class ServiceSnapshot:
                 f"{self.incoming.shape}"
             )
         known = set(self.ids)
+        if len(known) != len(self.ids):
+            raise ValidationError("snapshot ids contain duplicates")
         unknown = [i for i in self.landmark_ids if i not in known]
         if unknown:
             raise ValidationError(f"landmark ids not in snapshot: {unknown!r}")
@@ -67,7 +72,15 @@ class ServiceSnapshot:
         return len(self.ids)
 
 
+#: The exact types of JSON-representable ids (``bool`` is an ``int``).
+_ID_TYPES = {str, int, bool}
+
+
 def _check_serializable(ids: list, name: str) -> None:
+    # One pass over the ids' types; the loop below only names the first
+    # bad id (and admits subclasses of str and int).
+    if set(map(type, ids)) <= _ID_TYPES:
+        return
     for identifier in ids:
         if not isinstance(identifier, (str, int)):
             raise ValidationError(
@@ -77,7 +90,7 @@ def _check_serializable(ids: list, name: str) -> None:
 
 
 def save_snapshot(snapshot: ServiceSnapshot, path: str | Path) -> Path:
-    """Write the snapshot to ``path`` as a compressed ``.npz``."""
+    """Write the snapshot to ``path`` as an uncompressed ``.npz``."""
     _check_serializable(snapshot.ids, "ids")
     _check_serializable(snapshot.landmark_ids, "landmark_ids")
     destination = Path(path)
@@ -88,7 +101,7 @@ def save_snapshot(snapshot: ServiceSnapshot, path: str | Path) -> Path:
             "landmark_ids": snapshot.landmark_ids,
         }
     )
-    np.savez_compressed(
+    np.savez(
         destination,
         header=np.array(header),
         outgoing=snapshot.outgoing,

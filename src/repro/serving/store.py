@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import zlib
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +79,9 @@ def group_by_shard(host_ids: Sequence, n_shards: int) -> dict[int, np.ndarray]:
     each group into one RPC: ``result[shard] -> array of positions``,
     so results can be written back into request order.
     """
+    if n_shards == 1:
+        # shard_of(x, 1) is 0 for every x: nothing to hash.
+        return {0: np.arange(len(host_ids))} if len(host_ids) else {}
     assignments = np.fromiter(
         (shard_of(host_id, n_shards) for host_id in host_ids),
         dtype=int,
@@ -123,21 +127,44 @@ class InMemoryVectorStore:
     # writes
     # ------------------------------------------------------------------ #
 
-    def _claim_row(self, host_id: object) -> int:
-        row = self._row_of.get(host_id)
-        if row is not None:
-            return row
-        row = len(self._id_of_row)
-        if row == self._outgoing.shape[0]:
-            self._grow()
-        self._row_of[host_id] = row
-        self._id_of_row.append(host_id)
-        return row
+    def _claim_rows(self, host_ids: Sequence) -> np.ndarray:
+        """Rows of ``host_ids`` in request order (call with the lock
+        held). Stored hosts keep their rows; new hosts claim the next
+        free rows in first-appearance order, all in one step, and an id
+        repeated in the batch gets one row. An unhashable id raises
+        before anything is claimed."""
+        rows = np.fromiter(
+            map(self._row_of.get, host_ids, repeat(-1)),
+            dtype=np.intp,
+            count=len(host_ids),
+        )
+        new = np.flatnonzero(rows < 0)
+        if new.size:
+            if new.size == rows.size:
+                pending = host_ids
+            else:
+                pending = list(map(host_ids.__getitem__, new.tolist()))
+            fresh = dict.fromkeys(pending)
+            start = len(self._id_of_row)
+            claimed = range(start, start + len(fresh))
+            self._reserve(claimed.stop)
+            self._row_of.update(zip(fresh, claimed))
+            self._id_of_row.extend(fresh)
+            if len(fresh) == new.size:
+                rows[new] = np.arange(start, claimed.stop)
+            else:
+                rows[new] = list(map(self._row_of.__getitem__, pending))
+        return rows
 
-    def _grow(self) -> None:
-        old = self._outgoing.shape[0]
-        grown_out = np.zeros((old * 2, self._dimension))
-        grown_in = np.zeros((old * 2, self._dimension))
+    def _reserve(self, needed: int) -> None:
+        """Double the capacity until ``needed`` rows fit (one copy)."""
+        old = capacity = self._outgoing.shape[0]
+        while capacity < needed:
+            capacity *= 2
+        if capacity == old:
+            return
+        grown_out = np.zeros((capacity, self._dimension))
+        grown_in = np.zeros((capacity, self._dimension))
         grown_out[:old] = self._outgoing
         grown_in[:old] = self._incoming
         self._outgoing = grown_out
@@ -151,7 +178,7 @@ class InMemoryVectorStore:
                 f"{self._dimension}"
             )
         with self._lock:
-            row = self._claim_row(host_id)
+            row = self._claim_rows([host_id])[0]
             self._outgoing[row] = vectors.outgoing
             self._incoming[row] = vectors.incoming
 
@@ -168,11 +195,7 @@ class InMemoryVectorStore:
                 f"{outgoing.shape} and {incoming.shape}"
             )
         with self._lock:
-            rows = np.fromiter(
-                (self._claim_row(host_id) for host_id in host_ids),
-                dtype=int,
-                count=len(host_ids),
-            )
+            rows = self._claim_rows(host_ids)
             self._outgoing[rows] = outgoing
             self._incoming[rows] = incoming
 
@@ -236,9 +259,11 @@ class InMemoryVectorStore:
                 # Contiguous ascending slab (the common case after bulk
                 # seeding): slice views instead of fancy-index copies,
                 # so the rows can flow to a socket with zero copies.
+                # The endpoints rule out most scattered rows before the
+                # full comparison.
                 start = int(rows[0])
                 stop = start + rows.size
-                if stop <= self._outgoing.shape[0] and np.array_equal(
+                if int(rows[-1]) == stop - 1 and np.array_equal(
                     rows, np.arange(start, stop)
                 ):
                     return self._outgoing[start:stop], self._incoming[start:stop]

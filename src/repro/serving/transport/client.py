@@ -150,6 +150,15 @@ def _replica(failure: BaseException) -> Exception:
     return ConnectionResetError(str(failure))
 
 
+class _Unencodable(Exception):
+    """An attempt's request could not be encoded, so no frame of it
+    existed to send; ``error`` is what the caller sees."""
+
+    def __init__(self, error: Exception):
+        super().__init__(str(error))
+        self.error = error
+
+
 def _expire(future: asyncio.Future) -> None:
     """An attempt's timer: fail a future still waiting with a timeout."""
     if not future.done():
@@ -323,10 +332,14 @@ class _ShardConnection(asyncio.Protocol):
                 # reserved key, a non-wire dtype) stays one.
                 try:
                     frame = encode_frame(request, arrays, request_id)
+                except ProtocolError as unencodable:
+                    raise _Unencodable(unencodable) from None
                 except (TypeError, ValueError) as unencodable:
-                    raise ValidationError(
-                        f"cannot encode {request.get('op')!r} request: "
-                        f"{unencodable}"
+                    raise _Unencodable(
+                        ValidationError(
+                            f"cannot encode {request.get('op')!r} request: "
+                            f"{unencodable}"
+                        )
                     ) from None
                 future = loop.create_future()
                 self._pending[request_id] = future
@@ -446,8 +459,11 @@ class RemoteShardClient:
         )
         self._backoff_rng = random.Random()
         self.calls = 0
-        #: Dispatch attempts (first tries plus retries) that actually
-        #: went to the wire — the retry-storm observable.
+        #: Dispatch attempts, first tries plus retries — the
+        #: retry-storm observable. Every try counts once it reaches
+        #: for a connection, a failed dial or a timeout included; a
+        #: request that cannot be encoded counts none, since it never
+        #: had a frame to send.
         self.attempts = 0
         self.retries_used = 0
         #: Retries refused because the shared retry budget ran dry.
@@ -527,7 +543,9 @@ class RemoteShardClient:
                        "Responses that arrived after their caller gave up.",
                        shard, self.late_responses),
                 Sample("ides_client_attempts_total", "counter",
-                       "Dispatch attempts, first tries plus retries.",
+                       "Dispatch attempts, first tries plus retries, "
+                       "failed dials included; requests that could not "
+                       "be encoded are not counted.",
                        shard, self.attempts),
                 Sample("ides_client_retry_budget_exhausted_total", "counter",
                        "Retries refused because the token bucket ran dry.",
@@ -776,6 +794,10 @@ class RemoteShardClient:
                 response = await self._call_once(
                     attempt_request, arrays, attempt > 0, attempt_timeout
                 )
+            except _Unencodable as unencodable:
+                # The caller's bad request, not a dispatch attempt.
+                self.attempts -= 1
+                raise unencodable.error from None
             except ShardUnavailableError:
                 # close() rejected the in-flight future: fail fast, the
                 # retry budget does not apply to a deliberate shutdown.

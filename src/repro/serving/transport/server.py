@@ -71,7 +71,7 @@ from ...exceptions import (
 from ..engine import QueryEngine
 from ..journal import REPLAY_CHUNK, ShardJournal, store_digest
 from ..snapshot import load_snapshot
-from ..store import InMemoryVectorStore, shard_of
+from ..store import InMemoryVectorStore, group_by_shard, shard_of
 from .protocol import (
     PROTOCOL_VERSION,
     Deadline,
@@ -916,17 +916,20 @@ class _ServerConnection(asyncio.Protocol):
 def _shard_store_from_snapshot(
     snapshot_path: str, shard_index: int, n_shards: int
 ) -> InMemoryVectorStore:
-    """This shard's slice of a snapshot: the hosts ``shard_of`` maps here."""
+    """This shard's slice of a snapshot: the hosts ``shard_of`` maps
+    here, in snapshot order, seeded with one ``put_many``.
+
+    One :func:`group_by_shard` pass picks the rows (a single slice
+    takes every row without hashing), and the store claims the slice's
+    rows in one step, so the shard's rows, and with them its k-NN tie
+    order, follow the snapshot.
+    """
     snapshot = load_snapshot(snapshot_path)
     store = InMemoryVectorStore(snapshot.dimension)
-    keep = [
-        row
-        for row, host_id in enumerate(snapshot.ids)
-        if shard_of(host_id, n_shards) == shard_index
-    ]
-    if keep:
+    keep = group_by_shard(snapshot.ids, n_shards).get(shard_index)
+    if keep is not None:
         store.put_many(
-            [snapshot.ids[row] for row in keep],
+            list(map(snapshot.ids.__getitem__, keep.tolist())),
             snapshot.outgoing[keep],
             snapshot.incoming[keep],
         )

@@ -1,7 +1,7 @@
 """Property-based tests: journal ring, replay equivalence, chaos replay."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.serving.journal import (
@@ -128,6 +128,72 @@ class TestReplayEquivalence:
         replica = InMemoryVectorStore(DIMENSION)
         reloaded.replay_into(replica)
         assert store_digest(replica) == store_digest(direct)
+
+
+digest_ids = st.lists(
+    st.one_of(st.text(min_size=1, max_size=6), st.integers(-500, 500)),
+    min_size=1,
+    max_size=8,
+    unique_by=repr,
+)
+
+
+def digest_store(ids, outgoing, incoming, order=None):
+    store = InMemoryVectorStore(DIMENSION)
+    for row in order if order is not None else range(len(ids)):
+        store.put_many([ids[row]], outgoing[row : row + 1], incoming[row : row + 1])
+    return store
+
+
+class TestDigestProperties:
+    """Equal digests mean bit-equal content: one flipped bit of a vector,
+    or one changed character of an id, changes the digest; the order
+    the hosts arrived in does not."""
+
+    @given(ids=digest_ids, seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_insertion_order_does_not_matter(self, ids, seed, data):
+        outgoing, incoming = np.random.default_rng(seed).normal(
+            size=(2, len(ids), DIMENSION)
+        )
+        order = data.draw(st.permutations(range(len(ids))))
+        assert store_digest(digest_store(ids, outgoing, incoming)) == (
+            store_digest(digest_store(ids, outgoing, incoming, order))
+        )
+
+    @given(ids=digest_ids, seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_flipped_vector_bit_changes_the_digest(self, ids, seed, data):
+        outgoing, incoming = np.random.default_rng(seed).normal(
+            size=(2, len(ids), DIMENSION)
+        )
+        before = store_digest(digest_store(ids, outgoing, incoming))
+        flipped = [outgoing.copy(), incoming.copy()]
+        matrix = data.draw(st.sampled_from(flipped))
+        row = data.draw(st.integers(0, len(ids) - 1))
+        column = data.draw(st.integers(0, DIMENSION - 1))
+        bit = data.draw(st.integers(0, 63))
+        matrix.view(np.uint64)[row, column] ^= np.uint64(1 << bit)
+        assert store_digest(digest_store(ids, *flipped)) != before
+
+    @given(ids=digest_ids, seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_changed_id_character_changes_the_digest(self, ids, seed, data):
+        outgoing, incoming = np.random.default_rng(seed).normal(
+            size=(2, len(ids), DIMENSION)
+        )
+        before = store_digest(digest_store(ids, outgoing, incoming))
+        row = data.draw(st.integers(0, len(ids) - 1))
+        original = ids[row]
+        if isinstance(original, int):
+            changed = data.draw(st.integers(-500, 500).filter(original.__ne__))
+        else:
+            at = data.draw(st.integers(0, len(original) - 1))
+            character = data.draw(st.characters().filter(original[at].__ne__))
+            changed = original[:at] + character + original[at + 1 :]
+        renamed = [*ids[:row], changed, *ids[row + 1 :]]
+        assume(len(set(renamed)) == len(renamed))
+        assert store_digest(digest_store(renamed, outgoing, incoming)) != before
 
 
 class TestChaosDeterminism:

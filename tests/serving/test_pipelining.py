@@ -766,6 +766,7 @@ class TestScatterWriteFlush:
             assert transport.retained  # still buffered, and that is fine
             transport.flush()
             assert decode_frame(bytes(transport.sent)).op == "ping"
+            writer.close()
 
         run(scenario())
 

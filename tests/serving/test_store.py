@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.ides import HostVectors
-from repro.serving import InMemoryVectorStore, QueryEngine, shard_of
+from repro.serving import (
+    InMemoryVectorStore,
+    QueryEngine,
+    group_by_shard,
+    shard_of,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -132,11 +137,110 @@ class TestInMemoryVectorStore:
         np.testing.assert_array_equal(outgoing, before)
 
 
+class TestBulkRowClaims:
+    """put_many looks a batch up in one pass and claims the rows of its
+    new hosts in one step; the write semantics are those of one put per
+    host."""
+
+    def test_new_hosts_take_rows_in_first_appearance_order(self):
+        store = InMemoryVectorStore(dimension=2)
+        store.put_many(["a", "b"], np.ones((2, 2)), np.ones((2, 2)))
+        vectors = np.arange(10.0).reshape(5, 2)
+        store.put_many(["c", "a", "d", "c", "e"], vectors, -vectors)
+        assert store.export()[0] == ["a", "b", "c", "d", "e"]
+        assert list(store.rows_for(["a", "b", "c", "d", "e"])) == [0, 1, 2, 3, 4]
+
+    def test_repeated_id_shares_one_row_and_the_last_write_wins(self):
+        store = InMemoryVectorStore(dimension=2)
+        vectors = np.arange(8.0).reshape(4, 2)
+        store.put_many(["x", "y", "x", "x"], vectors, -vectors)
+        assert len(store) == 2
+        np.testing.assert_array_equal(store.get("x").outgoing, vectors[3])
+        np.testing.assert_array_equal(store.get("x").incoming, -vectors[3])
+        np.testing.assert_array_equal(store.get("y").outgoing, vectors[1])
+        store.put_many(["y", "z", "z"], vectors[:3], vectors[:3])
+        assert store.export()[0] == ["x", "y", "z"]
+        np.testing.assert_array_equal(store.get("y").outgoing, vectors[0])
+        np.testing.assert_array_equal(store.get("z").outgoing, vectors[2])
+
+    def test_equal_ids_share_a_row_as_with_put(self):
+        """1 and True are one dict key: one row, kept under the first."""
+        bulk = InMemoryVectorStore(dimension=1)
+        bulk.put_many([1, True], np.array([[1.0], [2.0]]), np.zeros((2, 1)))
+        single = InMemoryVectorStore(dimension=1)
+        single.put(1, HostVectors(np.array([1.0]), np.zeros(1)))
+        single.put(True, HostVectors(np.array([2.0]), np.zeros(1)))
+        for store in (bulk, single):
+            ids, outgoing, _ = store.export()
+            assert ids == [1] and type(ids[0]) is int
+            np.testing.assert_array_equal(outgoing, [[2.0]])
+
+    def test_unhashable_id_raises_before_claiming(self):
+        store = InMemoryVectorStore(dimension=2)
+        store.put_many(["a"], np.ones((1, 2)), np.ones((1, 2)))
+        with pytest.raises(TypeError):
+            store.put_many(["b", ["c"]], np.zeros((2, 2)), np.zeros((2, 2)))
+        assert store.export()[0] == ["a"]
+        np.testing.assert_array_equal(store.get("a").outgoing, [1.0, 1.0])
+
+    def test_capacity_grows_once_to_the_next_doubling(self):
+        store = InMemoryVectorStore(dimension=2, initial_capacity=4)
+        store.put_many(range(4), np.ones((4, 2)), np.ones((4, 2)))
+        store.put_many(range(2, 40), np.full((38, 2), 2.0), np.ones((38, 2)))
+        assert store.capacity == 64
+        assert len(store) == 40
+        np.testing.assert_array_equal(store.gather(range(2))[0], np.ones((2, 2)))
+        np.testing.assert_array_equal(
+            store.gather(range(2, 40))[0], np.full((38, 2), 2.0)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 12), max_size=10), min_size=1, max_size=6
+        )
+    )
+    def test_matches_a_dict_of_last_writes(self, batches):
+        """Rows follow first appearance and hold each host's last write,
+        like a dict updated host by host."""
+        rng = np.random.default_rng(len(batches))
+        store = InMemoryVectorStore(dimension=2, initial_capacity=1)
+        expected: dict = {}
+        for batch in batches:
+            outgoing = rng.random((len(batch), 2))
+            incoming = rng.random((len(batch), 2))
+            store.put_many(batch, outgoing, incoming)
+            for row, host_id in enumerate(batch):
+                expected[host_id] = (outgoing[row], incoming[row])
+        ids, outgoing, incoming = store.export()
+        assert ids == list(expected)
+        for row, (want_out, want_in) in enumerate(expected.values()):
+            np.testing.assert_array_equal(outgoing[row], want_out)
+            np.testing.assert_array_equal(incoming[row], want_in)
+
+
 class TestShardOf:
     def test_shard_assignment_is_stable(self):
         for host_id in ["a", "b", 42, "host-7"]:
             assert shard_of(host_id, 8) == shard_of(host_id, 8)
             assert 0 <= shard_of(host_id, 8) < 8
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 5])
+    def test_group_by_shard_matches_shard_of(self, n_shards):
+        ids = ["a", 7, True, "host-7", 1, -3]
+        groups = group_by_shard(ids, n_shards)
+        assert sorted(np.concatenate(list(groups.values()))) == list(range(6))
+        for shard, positions in groups.items():
+            assert positions.size
+            assert list(positions) == sorted(positions)
+            assert all(shard_of(ids[p], n_shards) == shard for p in positions)
+
+    def test_one_slice_takes_every_position(self):
+        groups = group_by_shard(["a", 7, None], 1)
+        assert list(groups) == [0]
+        np.testing.assert_array_equal(groups[0], [0, 1, 2])
+        assert group_by_shard([], 1) == {}
+        assert group_by_shard([], 3) == {}
 
 
 class TestThreadSafety:
@@ -315,6 +419,18 @@ class TestZeroCopyGather:
         expected_out, expected_in = store.gather(shuffled)
         np.testing.assert_array_equal(outgoing, expected_out)
         np.testing.assert_array_equal(incoming, expected_in)
+
+    def test_matching_endpoints_of_scattered_rows_are_copied(self):
+        """Rows 3, 5, 4, 6 start and end where a slab of four would, but
+        are not one: the values are right and owned by the caller."""
+        store, ids = self.build()
+        request = [ids[3], ids[5], ids[4], ids[6]]
+        outgoing, incoming = store.gather(request, copy=False)
+        expected_out, expected_in = store.gather(request)
+        np.testing.assert_array_equal(outgoing, expected_out)
+        np.testing.assert_array_equal(incoming, expected_in)
+        assert not np.shares_memory(outgoing, store._outgoing)
+        assert not np.shares_memory(incoming, store._incoming)
 
     def test_reversed_request_is_not_a_wrong_view(self):
         store, ids = self.build()

@@ -856,15 +856,18 @@ class TestClientRetries:
         run(scenario())
 
 
+unencodable_requests = pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"out": [np.int64(1)]}, ValidationError),  # not JSON
+        ({"arrays": 1}, ProtocolError),  # the reserved header key
+    ],
+    ids=["json-type", "reserved-key"],
+)
+
+
 class TestClientEncodeFailures:
-    @pytest.mark.parametrize(
-        "fields, error",
-        [
-            ({"out": [np.int64(1)]}, ValidationError),  # not JSON
-            ({"arrays": 1}, ProtocolError),  # the reserved header key
-        ],
-        ids=["json-type", "reserved-key"],
-    )
+    @unencodable_requests
     def test_unencodable_call_fails_alone(self, fields, error):
         """A request that cannot be encoded fails only its own call: the
         shared connection, and the slow call in flight on it, are
@@ -897,6 +900,55 @@ class TestClientEncodeFailures:
             assert "gather" in str(raised)
         assert retries_used == 0
         assert open_connections == 1
+
+    @unencodable_requests
+    def test_unencodable_request_counts_no_attempt(self, fields, error):
+        """``attempts`` counts tries that had a frame to send: a ping
+        then an unencodable gather is one call and one attempt, and an
+        unencodable first call on a fresh client counts none, although
+        it dialed."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                fresh = RemoteShardClient(*server.address)
+                client = RemoteShardClient(*server.address)
+                try:
+                    with pytest.raises(error):
+                        await fresh.call("gather", fields)
+                    await client.call("ping")
+                    with pytest.raises(error):
+                        await client.call("gather", fields)
+                    return (
+                        (fresh.calls, fresh.attempts),
+                        (client.calls, client.attempts),
+                    )
+                finally:
+                    await fresh.close()
+                    await client.close()
+
+        assert run(scenario()) == ((0, 0), (1, 1))
+
+    def test_failed_dial_counts_an_attempt(self):
+        """A try that cannot reach the shard still counts, retries
+        included."""
+
+        async def scenario():
+            server = ShardServer(dimension=DIMENSION, shard_index=0, n_shards=1)
+            host, port = await server.start()
+            await server.stop()
+            client = RemoteShardClient(
+                host, port, retries=1, retry_backoff=0.001, timeout=0.5
+            )
+            try:
+                with pytest.raises(ShardUnavailableError):
+                    await client.call("ping")
+                return client.calls, client.attempts
+            finally:
+                await client.close()
+
+        assert run(scenario()) == (0, 2)
 
 
 class _TaskCounter:
